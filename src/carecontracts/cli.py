@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -20,19 +21,18 @@ from .domain import (
     DEFAULT_F_DOLLARS,
     Contract,
     ModelParams,
+    dollars,
     dump_params,
     expected_payment,
-    expected_survival,
     load_params,
     params_to_dict,
 )
 from .errors import CareContractsError, CohortFormatError
-from .lp import solve_lp
 from .solvers import (
+    CERTIFIED_CLAIMS,
     UtilityTransform,
-    binding_system_solution,
+    certify,
     misclassification_raises_cost,
-    non_negative_lp,
     solve_free_payment,
     solve_non_negative,
     solve_non_negative_misclassified,
@@ -42,55 +42,9 @@ from .solvers import (
 
 DEFAULT_SEED = 13
 
-# Published case-study figures for the bundled ICP-monitoring cohort; the
-# simulated survival/payment triple came from a procedure that the fitted
-# Bernoulli model does not reproduce (see README), so those three carry a
-# model_reproducible=False flag in the reproduction report.
-PUBLISHED_CONTRACT = {"p11": 1.18, "incentive_gap": 0.12, "expected_payment": 0.44}
-PUBLISHED_DOLLARS = {"p11": 11800.0, "incentive_gap": 1200.0, "expected_payment": 4400.0}
-PUBLISHED_POLICY_FIGURES = {
-    "matched": {"survival": 0.64, "payment": 0.55},
-    "pure-high": {"survival": 0.83, "payment": 0.94},
-    "pure-low": {"survival": 0.35},
-}
 
-
-def _dollars(value: float, f_dollars: float) -> float:
-    return round(value * f_dollars, 2)
-
-
-def _contract_dict(contract: Contract) -> dict:
-    return {
-        "p00": contract.p00,
-        "p01": contract.p01,
-        "p10": contract.p10,
-        "p11": contract.p11,
-    }
-
-
-def _certificate_dict(certificate) -> dict:
-    return {
-        "model": certificate.model,
-        "feasible": certificate.feasible,
-        "expected_payment": certificate.expected_payment,
-        "optimality_gap": certificate.optimality_gap,
-        "distance_to_optimal_family": certificate.distance_to_optimal_family,
-        "near_optimal": certificate.near_optimal,
-        "constraints": [
-            {
-                "name": c.name,
-                "value": c.value,
-                "bound": c.bound,
-                "slack": c.slack,
-                "satisfied": c.satisfied,
-            }
-            for c in certificate.constraints
-        ],
-    }
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _emit_json(payload: dict, out: str | Path | None) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -108,6 +62,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "f_dollars": f_dollars,
         "params": params_to_dict(params),
     }
+    transform = None
 
     if args.model == "free":
         solution = solve_free_payment(params, args.p11)
@@ -119,23 +74,20 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "dp10_dp11": solution.sensitivity[2],
         }
         payload["optimal_value"] = 0.0
-        certificate = verify_contract(params, contract, "free")
     elif args.model == "nonneg":
         solution = solve_non_negative(params, args.t)
         contract = solution.contract
         payload["t"] = solution.t
         payload["slacks"] = {"v1": solution.slack_v1, "v2": solution.slack_v2}
-        payload["incentive_gap_dollars"] = _dollars(solution.slack_v2, f_dollars)
+        payload["incentive_gap_dollars"] = dollars(solution.slack_v2, f_dollars)
         payload["optimal_value"] = solution.optimal_value
-        certificate = verify_contract(params, contract, "nonneg")
     elif args.model == "nonneg-w":
         solution = solve_non_negative_misclassified(params)
         contract = solution.contract
         payload["slacks"] = {"v1": solution.slack_v1, "v2": solution.slack_v2}
-        payload["incentive_gap_dollars"] = _dollars(solution.slack_v2, f_dollars)
+        payload["incentive_gap_dollars"] = dollars(solution.slack_v2, f_dollars)
         payload["optimal_value"] = solution.optimal_value
         payload["noise_raises_cost"] = misclassification_raises_cost(params)
-        certificate = verify_contract(params, contract, "nonneg-w")
     else:
         transform = UtilityTransform.parse(args.g)
         solution = solve_risk_averse(params, transform)
@@ -150,22 +102,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             "mu10": solution.mu[2],
             "mu11": solution.mu[3],
         }
-        payload["kkt"] = {
-            "stationarity": solution.kkt.stationarity,
-            "primal_violation": solution.kkt.primal_violation,
-            "dual_violation": solution.kkt.dual_violation,
-            "complementarity": solution.kkt.complementarity,
-        }
+        payload["kkt"] = asdict(solution.kkt)
         payload["optimal_value"] = solution.optimal_value
-        certificate = verify_contract(params, contract, "risk-averse", g=transform)
 
-    payload["contract"] = _contract_dict(contract)
+    certificate = verify_contract(params, contract, args.model, g=transform)
+    payload["contract"] = asdict(contract)
     payload["contract_dollars"] = {
-        key: _dollars(value, f_dollars) for key, value in _contract_dict(contract).items()
+        key: dollars(value, f_dollars) for key, value in payload["contract"].items()
     }
     payload["expected_payment"] = expected_payment(params, contract, "matched")
-    payload["expected_payment_dollars"] = _dollars(payload["expected_payment"], f_dollars)
-    payload["certificate"] = _certificate_dict(certificate)
+    payload["expected_payment_dollars"] = dollars(payload["expected_payment"], f_dollars)
+    payload["certificate"] = asdict(certificate)
     _emit_json(payload, args.out)
     return 0
 
@@ -187,10 +134,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     dump_params(result.params, out)
     diag_path = out.with_name(out.stem + ".diagnostics.json")
-    diag_path.write_text(
-        json.dumps(result.diagnostics.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    _emit_json(asdict(result.diagnostics), diag_path)
     scores_path = out.with_name(out.stem + ".scores.csv")
     hist = result.diagnostics.histogram
     with open(scores_path, "w", encoding="utf-8", newline="") as fh:
@@ -215,12 +159,10 @@ def _load_contract(spec: str, params: ModelParams) -> Contract:
         return solve_non_negative(params, 0.0).contract
     with open(spec, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    return Contract(
-        p00=float(data["p00"]),
-        p01=float(data["p01"]),
-        p10=float(data["p10"]),
-        p11=float(data["p11"]),
-    )
+    try:
+        return Contract(*(float(data[key]) for key in ("p00", "p01", "p10", "p11")))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed contract file {spec}: missing or bad field {exc}") from exc
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -230,12 +172,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         params, contract, n=args.n, seed=args.seed, w0=args.w0, w1=args.w1
     )
     if args.format == "csv":
-        if args.out:
-            simulation.export_report_csv(list(comparison.reports), args.out)
-        else:
-            print(",".join(simulation.CSV_HEADER))
-            for report in comparison.reports:
-                print(",".join(simulation._fmt(v) for v in report.row()))
+        simulation.export_report_csv(list(comparison.reports), args.out or sys.stdout)
     else:
         _emit_json(simulation.comparison_to_dict(comparison), args.out)
     return 0
@@ -244,224 +181,53 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 # --- verify ---------------------------------------------------------------------
 
 
-def _segment_distance(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    d = b - a
-    t = min(1.0, max(0.0, float((x - a) @ d) / float(d @ d)))
-    return float(np.linalg.norm(x - (a + t * d)))
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
-    trials = args.trials
-    tallies = {
-        "non-negative closed form vs vertex enumeration": 0,
-        "free-payment closed form vs direct binding solve": 0,
-        "label-noise optimum vs vertex enumeration": 0,
-        "risk-averse KKT certificate": 0,
-    }
     transforms = (UtilityTransform.power(0.5), UtilityTransform.log())
-    for trial in range(trials):
+    tallies = dict.fromkeys(CERTIFIED_CLAIMS, 0)
+    for trial in range(args.trials):
         params = synthetic.sample_model_params(rng, require_free_solvable=True, with_noise=True)
-
-        result = solve_lp(non_negative_lp(params))
-        lo = solve_non_negative(params, 0.0).contract.as_array()
-        hi = solve_non_negative(params, 1.0).contract.as_array()
-        on_segment = all(
-            _segment_distance(point.solution[:4], lo, hi) <= 1e-8
-            for point in result.optimal_points
-        )
-        if (
-            result.status == "optimal"
-            and abs(result.value - params.gamma) <= 1e-8
-            and on_segment
-        ):
-            tallies["non-negative closed form vs vertex enumeration"] += 1
-
-        closed = solve_free_payment(params, p11=1.0).contract.as_array()
-        direct = binding_system_solution(params, 1.0)
-        if float(np.max(np.abs(closed - direct))) <= 1e-8:
-            tallies["free-payment closed form vs direct binding solve"] += 1
-
-        noisy = solve_non_negative_misclassified(params)
-        noisy_lp = solve_lp(non_negative_lp(params, objective=noisy.objective))
-        evaluated = float(noisy.objective @ noisy.contract.as_array())
-        if (
-            noisy_lp.status == "optimal"
-            and abs(noisy_lp.value - noisy.optimal_value) <= 1e-8
-            and abs(evaluated - noisy.optimal_value) <= 1e-10
-            and any(
-                float(np.max(np.abs(p.solution[:4] - noisy.contract.as_array()))) <= 1e-8
-                for p in noisy_lp.optimal_points
-            )
-        ):
-            tallies["label-noise optimum vs vertex enumeration"] += 1
-
-        transform = transforms[trial % len(transforms)]
-        solution = solve_risk_averse(params, transform)
-        if solution.kkt.max_residual <= 1e-8:
-            tallies["risk-averse KKT certificate"] += 1
-
-    failed = False
-    for name, count in tallies.items():
-        print(f"{name}: {count}/{trials}")
-        failed = failed or count != trials
-    total = sum(tallies.values())
-    print(f"total agreements: {total}/{trials * len(tallies)}")
-    return 1 if failed else 0
+        for claim, agreed in certify(params, transforms[trial % len(transforms)]).items():
+            tallies[claim] += agreed
+    for claim, count in tallies.items():
+        print(f"{claim}: {count}/{args.trials}")
+    print(f"total agreements: {sum(tallies.values())}/{args.trials * len(tallies)}")
+    return 0 if all(count == args.trials for count in tallies.values()) else 1
 
 
 # --- reproduce -------------------------------------------------------------------
-
-
-def _verdict(name: str, obtained: float, expected: float, tol: float) -> dict:
-    return {
-        "name": name,
-        "obtained": obtained,
-        "expected": expected,
-        "tolerance": tol,
-        "passed": bool(abs(obtained - expected) <= tol),
-    }
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     spec = synthetic.SyntheticCohortSpec(n=args.n)
-
     if args.fixture:
-        cohort = estimation.load_cohort(args.fixture)
         fixture_path = Path(args.fixture)
+        cohort = estimation.load_cohort(args.fixture)
     else:
         fixture_path = outdir / "cohort.csv"
-        records, _ = synthetic.generate_cohort(spec, args.fixture_seed)
-        estimation.save_cohort(records, fixture_path)
-        cohort = records
+        cohort, _ = synthetic.generate_cohort(spec, args.fixture_seed)
+        estimation.save_cohort(cohort, fixture_path)
 
-    result = estimation.run_pipeline(cohort, estimation.PipelineConfig())
-    estimated = result.params
+    estimated, comparison, report = synthetic.reproduce_case_study(
+        cohort, spec, args.sim_n, args.seed
+    )
     dump_params(estimated, outdir / "params.json")
-
-    planted = spec.planted_params()
-    verdicts = [
-        _verdict("pi00", estimated.pi00, planted.pi00, 0.02),
-        _verdict("pi01", estimated.pi01, planted.pi01, 0.02),
-        _verdict("pi10", estimated.pi10, planted.pi10, 0.02),
-        _verdict("pi11", estimated.pi11, planted.pi11, 0.02),
-        _verdict("gamma", estimated.gamma, planted.gamma, 0.02),
-    ]
-
-    solution = solve_non_negative(estimated, 0.0)
-    verdicts += [
-        _verdict("p11 = 1/pi11", solution.contract.p11, 1.0 / estimated.pi11, 1e-9),
-        _verdict("p11 vs published 1.18", solution.contract.p11, PUBLISHED_CONTRACT["p11"], 0.05),
-        _verdict(
-            "incentive gap vs published 0.12",
-            solution.slack_v2,
-            PUBLISHED_CONTRACT["incentive_gap"],
-            0.03,
-        ),
-        _verdict(
-            "expected payment vs published 0.44",
-            solution.optimal_value,
-            PUBLISHED_CONTRACT["expected_payment"],
-            0.02,
-        ),
-    ]
-
-    # dollar renderings at the published point estimates themselves
-    reference = solve_non_negative(planted, 0.0)
-    dollars = {
-        "p11": _dollars(reference.contract.p11, DEFAULT_F_DOLLARS),
-        "incentive_gap": _dollars(reference.slack_v2, DEFAULT_F_DOLLARS),
-        "expected_payment": _dollars(reference.optimal_value, DEFAULT_F_DOLLARS),
-    }
-    for key, value in dollars.items():
-        verdicts.append(
-            _verdict(
-                f"{key} dollars rounded to $100",
-                round(value / 100.0) * 100.0,
-                PUBLISHED_DOLLARS[key],
-                0.0,
-            )
-        )
-
-    comparison = simulation.compare_policies(
-        estimated, solution.contract, n=args.sim_n, seed=args.seed
-    )
     simulation.export_report_csv(list(comparison.reports), outdir / "policy_comparison.csv")
-    analytic = {
-        "matched": {
-            "survival": expected_survival(estimated, "matched"),
-            "payment": expected_payment(estimated, solution.contract, "matched"),
-        },
-        "pure-high": {
-            "survival": expected_survival(estimated, "pure-high"),
-            "payment": expected_payment(estimated, solution.contract, "pure-high"),
-        },
-        "pure-low": {
-            "survival": expected_survival(estimated, "pure-low"),
-            "payment": expected_payment(estimated, solution.contract, "pure-low"),
-        },
-    }
-    for report in comparison.reports:
-        model_value = analytic[report.policy]["survival"]
-        verdicts.append(
-            _verdict(f"simulated {report.policy} survival vs model", report.survival_rate, model_value, 0.004)
-        )
-    verdicts.append(
-        _verdict(
-            "pure-high payment vs published 0.94",
-            comparison.pure_high.mean_payment,
-            PUBLISHED_POLICY_FIGURES["pure-high"]["payment"],
-            0.02,
-        )
-    )
+    report["fixture"] = str(fixture_path)
+    report["fixture_seed"] = None if args.fixture else args.fixture_seed
+    _emit_json(report, outdir / "report.json")
 
-    side_by_side = []
-    for policy, figures in PUBLISHED_POLICY_FIGURES.items():
-        report = next(r for r in comparison.reports if r.policy == policy)
-        entry = {
-            "policy": policy,
-            "published_survival": figures["survival"],
-            "simulated_survival": report.survival_rate,
-            "model_survival": analytic[policy]["survival"],
-            "survival_model_reproducible": abs(report.survival_rate - figures["survival"]) <= 0.02,
-        }
-        if "payment" in figures:
-            entry["published_payment"] = figures["payment"]
-            entry["simulated_payment"] = report.mean_payment
-            entry["payment_model_reproducible"] = (
-                abs(report.mean_payment - figures["payment"]) <= 0.02
-            )
-        side_by_side.append(entry)
-
-    bundle = {
-        "fixture": str(fixture_path),
-        "fixture_seed": None if args.fixture else args.fixture_seed,
-        "simulation_seed": args.seed,
-        "estimated_params": params_to_dict(estimated),
-        "planted_params": params_to_dict(planted),
-        "contract": _contract_dict(solution.contract),
-        "reference_dollars": dollars,
-        "policy_comparison": simulation.comparison_to_dict(comparison),
-        "published_policy_figures": PUBLISHED_POLICY_FIGURES,
-        "side_by_side": side_by_side,
-        "verdicts": verdicts,
-        "all_passed": all(v["passed"] for v in verdicts),
-    }
-    (outdir / "report.json").write_text(
-        json.dumps(bundle, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-    width = max(len(v["name"]) for v in verdicts)
-    for v in verdicts:
+    width = max(len(v["name"]) for v in report["verdicts"])
+    for v in report["verdicts"]:
         status = "PASS" if v["passed"] else "FAIL"
         print(
             f"{status}  {v['name']:<{width}}  obtained={v['obtained']:.6g}"
             f"  expected={v['expected']:.6g}  tol={v['tolerance']:g}"
         )
     print(f"report bundle -> {outdir / 'report.json'}")
-    return 0 if bundle["all_passed"] else 1
+    return 0 if report["all_passed"] else 1
 
 
 # --- parser ----------------------------------------------------------------------

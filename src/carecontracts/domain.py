@@ -38,6 +38,11 @@ PROB_GUARD = 1e-9
 DEFAULT_F_DOLLARS = 10_000.0
 
 
+def dollars(value: float, f_dollars: float = DEFAULT_F_DOLLARS) -> float:
+    """``value`` in F units rendered in dollars, rounded to cents."""
+    return round(value * f_dollars, 2)
+
+
 class AssignmentRule(str, Enum):
     """Expenditure assignment rules a payer can contemplate."""
 

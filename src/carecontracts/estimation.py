@@ -581,22 +581,6 @@ class PipelineDiagnostics:
     cell_counts: dict
     assumption_warnings: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_input": self.n_input,
-            "n_treated": self.n_treated,
-            "n_matched": self.n_matched,
-            "n_dropped_treated": self.n_dropped_treated,
-            "mean_pair_distance": self.mean_pair_distance,
-            "propensity_iterations": self.propensity_iterations,
-            "cox_control": self.cox_control,
-            "cox_treated": self.cox_treated,
-            "score_summary": self.score_summary,
-            "histogram": self.histogram,
-            "cell_counts": self.cell_counts,
-            "assumption_warnings": list(self.assumption_warnings),
-        }
-
 
 @dataclass(frozen=True)
 class PipelineResult:

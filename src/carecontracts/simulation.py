@@ -12,9 +12,9 @@ policies.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -162,8 +162,8 @@ def simulate_policy(
     baseline_survival: float | None = None,
 ) -> PolicyReport:
     """Simulate one policy on ``n`` model draws; deterministic in ``seed``."""
-    if n < 1:
-        raise ValueError("need at least one simulated patient")
+    if n < 2:
+        raise ValueError(f"n={n}: need at least two simulated patients for the 95% intervals")
     return _evaluate(params, policy, _draw_population(params, n, seed), baseline_survival)
 
 
@@ -182,8 +182,8 @@ def compare_policies(
     dominance indicators compare the matched policy against pure high on
     the average and marginal cost-effectiveness ratios.
     """
-    if n < 1:
-        raise ValueError("need at least one simulated patient")
+    if n < 2:
+        raise ValueError(f"n={n}: need at least two simulated patients for the 95% intervals")
     draws = _draw_population(params, n, seed)
     low = _evaluate(params, Policy(AssignmentRule.PURE_LOW, contract), draws, None)
     baseline = low.survival_rate
@@ -219,33 +219,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def export_report_csv(reports: list[PolicyReport], path: str | Path) -> None:
-    """Tidy CSV, one row per policy; None ratios render as empty fields."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for report in reports:
-            writer.writerow([_fmt(v) for v in report.row()])
+def export_report_csv(reports: list[PolicyReport], out: str | Path | TextIO) -> None:
+    """Tidy CSV, one row per policy; None ratios render as empty fields.
 
-
-def parse_report_csv(path: str | Path) -> list[dict]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        for row in reader:
-            rows.append(
-                {
-                    "policy": row["policy"],
-                    "n": int(row["n"]),
-                    "survival": float(row["survival"]),
-                    "payment": float(row["payment"]),
-                    "avg_ratio": float(row["avg_ratio"]) if row["avg_ratio"] else None,
-                    "marginal_ratio": float(row["marginal_ratio"])
-                    if row["marginal_ratio"]
-                    else None,
-                }
-            )
-        return rows
+    ``out`` is a file path or an open text stream such as ``sys.stdout``;
+    either way the rows end in ``\\r\\n``.
+    """
+    if isinstance(out, (str, Path)):
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            export_report_csv(reports, fh)
+        return
+    writer = csv.writer(out)
+    writer.writerow(CSV_HEADER)
+    for report in reports:
+        writer.writerow([_fmt(v) for v in report.row()])
 
 
 def report_to_dict(report: PolicyReport) -> dict:
@@ -269,24 +256,3 @@ def comparison_to_dict(comparison: PolicyComparison) -> dict:
         "avg_ratio_dominates": comparison.avg_ratio_dominates,
         "marginal_ratio_dominates": comparison.marginal_ratio_dominates,
     }
-
-
-def export_report_json(reports_or_comparison, path: str | Path) -> None:
-    if isinstance(reports_or_comparison, PolicyComparison):
-        payload = comparison_to_dict(reports_or_comparison)
-    else:
-        payload = {"policies": [report_to_dict(r) for r in reports_or_comparison]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def export_chart_data(reports: list[PolicyReport], path: str | Path) -> None:
-    """Bar-chart-friendly CSV: one row per policy with survival and payment."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["policy", "survival", "payment"])
-        for report in reports:
-            writer.writerow(
-                [report.policy, _fmt(report.survival_rate), _fmt(report.mean_payment)]
-            )

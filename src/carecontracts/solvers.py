@@ -36,14 +36,13 @@ from .errors import (
     NumericalError,
     SingularMatrixError,
 )
-from .lp import rref, solve_linear_system
+from .lp import solve_linear_system, solve_lp
 
 FEASIBILITY_TOL = 1e-9
 KKT_TOL = 1e-8
 # Strictness margin on the solvability condition s1 < 1; values this close
 # to the boundary produce numerically useless contracts.
 SOLVABILITY_MARGIN = 1e-6
-ILL_CONDITIONED_PIVOT = 1e-6
 
 
 # --- solvability ------------------------------------------------------------
@@ -55,29 +54,19 @@ class SolvabilityCertificate:
 
     solvable: bool
     s1: float
-    rank: int
-    min_pivot: float
-    ill_conditioned: bool
 
 
 def check_binding_solvability(
     params: ModelParams, *, margin: float = SOLVABILITY_MARGIN
 ) -> SolvabilityCertificate:
-    """Solvability of the binding system, with a row-reduction certificate.
+    """Solvability of the binding system.
 
     The system is solvable iff the uniform-high survival rate s1 stays
     strictly below one; ``margin`` guards the boundary.
     """
-    system = build_normalized_system(params)
-    reduction = rref(system.stacked())
+    require_ordering(params)
     s1 = survival_summary(params).s1
-    return SolvabilityCertificate(
-        solvable=bool(s1 < 1.0 - margin),
-        s1=s1,
-        rank=reduction.rank,
-        min_pivot=reduction.min_pivot,
-        ill_conditioned=bool(reduction.min_pivot < ILL_CONDITIONED_PIVOT),
-    )
+    return SolvabilityCertificate(solvable=bool(s1 < 1.0 - margin), s1=s1)
 
 
 # --- free payment model -----------------------------------------------------
@@ -195,7 +184,7 @@ def misclassified_objective(params: ModelParams) -> np.ndarray:
     g, w0, w1 = params.gamma, params.w0, params.w1
     return np.array(
         [
-            (1 - w0) * (1 - g) * (1 - params.pi00) + w1 * g * (1 - params.pi10),
+            (1 - w1) * (1 - g) * (1 - params.pi00) + w0 * g * (1 - params.pi10),
             w1 * (1 - g) * (1 - params.pi01) + (1 - w0) * g * (1 - params.pi11),
             (1 - w1) * (1 - g) * params.pi00 + w0 * g * params.pi10,
             w1 * (1 - g) * params.pi01 + (1 - w0) * g * params.pi11,
@@ -492,17 +481,20 @@ def verify_contract(
         slack = value - bound
         return ConstraintStatus(name, value, bound, slack, slack >= -feasibility_tol)
 
-    constraints: list[ConstraintStatus] = []
+    # the risk-averse provider weighs incentives in transformed payments
+    utility = p
     if model == "risk-averse":
         if g is None:
             raise InvalidTransformError("risk-averse verification needs a utility transform")
         validate_transform(g)
-        w = np.asarray(g.forward(np.maximum(p, 0.0)), dtype=float)
-        constraints.append(status("treat-good-responders", float(system.c1 @ w), system.b1))
-        constraints.append(status("spare-bad-responders", float(system.c2 @ w), system.b2))
-    else:
-        constraints.append(status("treat-good-responders", float(system.c1 @ p), system.b1))
-        constraints.append(status("spare-bad-responders", float(system.c2 @ p), system.b2))
+        utility = np.asarray(g.forward(np.maximum(p, 0.0)), dtype=float)
+    constraints = [
+        status("treat-good-responders", float(system.c1 @ utility), system.b1),
+        status("spare-bad-responders", float(system.c2 @ utility), system.b2),
+    ]
+    if model != "free":
+        for idx, name in enumerate(("p00", "p01", "p10", "p11")):
+            constraints.append(status(f"{name} >= 0", float(p[idx]), 0.0))
 
     expected = float(system.c0 @ p)
     if model == "free":
@@ -512,21 +504,15 @@ def verify_contract(
         distance = _line_distance(p, base, direction)
         gap = abs(expected - 0.0)
     elif model == "nonneg":
-        for idx, name in enumerate(("p00", "p01", "p10", "p11")):
-            constraints.append(status(f"{name} >= 0", float(p[idx]), 0.0))
         lo = solve_non_negative(params, 0.0).contract.as_array()
         hi = solve_non_negative(params, 1.0).contract.as_array()
         distance = _segment_distance(p, lo, hi)
         gap = expected - params.gamma
     elif model == "nonneg-w":
-        for idx, name in enumerate(("p00", "p01", "p10", "p11")):
-            constraints.append(status(f"{name} >= 0", float(p[idx]), 0.0))
         solution = solve_non_negative_misclassified(params)
         distance = float(np.linalg.norm(p - solution.contract.as_array()))
         gap = float(solution.objective @ p) - solution.optimal_value
     elif model == "risk-averse":
-        for idx, name in enumerate(("p00", "p01", "p10", "p11")):
-            constraints.append(status(f"{name} >= 0", float(p[idx]), 0.0))
         assert g is not None
         optimum = solve_risk_averse(params, g)
         distance = float(np.linalg.norm(p - optimum.contract.as_array()))
@@ -580,3 +566,60 @@ def binding_system_solution(params: ModelParams, p11: float) -> np.ndarray:
     rhs = system.rhs() - stacked[:, 3] * p11
     head = solve_linear_system(stacked[:, :3], rhs)
     return np.append(head, p11)
+
+
+CERTIFIED_CLAIMS = (
+    "non-negative closed form vs vertex enumeration",
+    "free-payment closed form vs direct binding solve",
+    "label-noise optimum vs vertex enumeration",
+    "risk-averse KKT certificate",
+)
+
+
+def certify(params: ModelParams, g: UtilityTransform) -> dict[str, bool]:
+    """Check every closed form against its independent route, keyed by
+    :data:`CERTIFIED_CLAIMS`.
+
+    The non-negative optimum must match vertex enumeration in value and
+    lie on the closed-form segment at every optimal vertex; the free-payment
+    contract must match a direct solve of the binding system; the
+    label-noise optimum must match enumeration under the noisy objective;
+    and the risk-averse contract, mapped back through ``g``, must pass the
+    KKT residual check at 1e-8 with the solver's multipliers.
+    """
+    result = solve_lp(non_negative_lp(params))
+    lo = solve_non_negative(params, 0.0).contract.as_array()
+    hi = solve_non_negative(params, 1.0).contract.as_array()
+    nonneg_ok = (
+        result.status == "optimal"
+        and abs(result.value - params.gamma) <= 1e-8
+        and all(
+            _segment_distance(point.solution[:4], lo, hi) <= 1e-8
+            for point in result.optimal_points
+        )
+    )
+
+    closed = solve_free_payment(params, p11=1.0).contract.as_array()
+    free_ok = float(np.max(np.abs(closed - binding_system_solution(params, 1.0)))) <= 1e-8
+
+    noisy = solve_non_negative_misclassified(params)
+    noisy_lp = solve_lp(non_negative_lp(params, objective=noisy.objective))
+    p = noisy.contract.as_array()
+    noisy_ok = (
+        noisy_lp.status == "optimal"
+        and abs(noisy_lp.value - noisy.optimal_value) <= 1e-8
+        and abs(float(noisy.objective @ p) - noisy.optimal_value) <= 1e-10
+        and any(
+            float(np.max(np.abs(point.solution[:4] - p))) <= 1e-8
+            for point in noisy_lp.optimal_points
+        )
+    )
+
+    # the solver raises on its own residual, so recompute it from the contract it returns
+    averse = solve_risk_averse(params, g)
+    w = np.asarray(g.forward(averse.contract.as_array()), dtype=float)
+    system = build_normalized_system(params)
+    kkt = _kkt_report(system, g, w, averse.lambda1, averse.lambda2, averse.mu)
+
+    verdicts = (nonneg_ok, free_ok, noisy_ok, kkt.max_residual <= KKT_TOL)
+    return {claim: bool(ok) for claim, ok in zip(CERTIFIED_CLAIMS, verdicts)}

