@@ -22,10 +22,10 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = SyntheticCohortSpec(n=args.n, treated_fraction=args.treated_fraction)
-    records, truth = generate_cohort(spec, args.seed)
-    save_cohort(records, args.out)
+    cohort, truth = generate_cohort(spec, args.seed)
+    save_cohort(cohort, args.out)
 
-    print(f"wrote {len(records)} records -> {Path(args.out).resolve()}")
+    print(f"wrote {len(cohort)} records -> {Path(args.out).resolve()}")
     print(f"treated: {truth.n_treated}")
     print(f"planted survival cells: pi00={spec.pi00} pi01={spec.pi01} pi10={spec.pi10} pi11={spec.pi11}")
     print(f"planted good-responder share: {spec.gamma}")

@@ -27,7 +27,7 @@ from .domain import (
     load_params,
     params_to_dict,
 )
-from .errors import CareContractsError, CohortFormatError
+from .errors import CareContractsError, CohortFormatError, ParamsFormatError
 from .solvers import (
     CERTIFIED_CLAIMS,
     UtilityTransform,
@@ -301,7 +301,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (CohortFormatError, OSError, json.JSONDecodeError) as exc:
+    except (CohortFormatError, ParamsFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CareContractsError as exc:

@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import AssumptionViolationError, InvalidParamsError
+from .errors import AssumptionViolationError, InvalidParamsError, ParamsFormatError
 
 # Probabilities are kept strictly inside (0, 1) by this guard so downstream
 # closed forms never divide by zero.
@@ -299,9 +299,11 @@ def params_to_dict(params: ModelParams) -> dict:
 
 
 def params_from_dict(data: Mapping) -> ModelParams:
+    """Parse the schema above; a missing key or a wrong-typed field is a
+    ``ParamsFormatError``, a value out of range an ``InvalidParamsError``."""
     try:
         pi = data["pi"]
-        return ModelParams(
+        values = dict(
             pi00=float(pi["00"]),
             pi01=float(pi["01"]),
             pi10=float(pi["10"]),
@@ -312,8 +314,9 @@ def params_from_dict(data: Mapping) -> ModelParams:
             w0=float(data.get("w0", 0.0)),
             w1=float(data.get("w1", 0.0)),
         )
-    except (KeyError, TypeError) as exc:
-        raise InvalidParamsError(f"malformed parameter file: missing or bad field {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParamsFormatError(f"malformed parameter file: missing or bad field {exc}") from exc
+    return ModelParams(**values)
 
 
 def load_params(path: str | Path) -> ModelParams:
@@ -323,5 +326,5 @@ def load_params(path: str | Path) -> ModelParams:
 
 def dump_params(params: ModelParams, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params), fh, indent=2, sort_keys=True)
+        json.dump(params_to_dict(params), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")

@@ -13,6 +13,10 @@ class InvalidParamsError(CareContractsError, ValueError):
     """Model parameters violate a range or ordering requirement."""
 
 
+class ParamsFormatError(InvalidParamsError):
+    """A parameter file misses a key or has a field of the wrong type."""
+
+
 class AssumptionViolationError(CareContractsError):
     """A solver precondition on the outcome probabilities fails."""
 

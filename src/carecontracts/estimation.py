@@ -22,9 +22,10 @@ import bisect
 import csv
 import logging
 import warnings
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -50,43 +51,80 @@ SEPARATION_BAND = 1e-12
 DIVERGENT_BETA = 50.0
 
 
+# Cohort columns after ``id``, in CSV order, with their dtypes.
+_COLUMNS = {"e": int, "t": int, "los": float, "event": int, "z": float}
+
+
 class AssumptionWarning(UserWarning):
     """Estimated rates violate a solver precondition; solvers may reject them."""
 
 
 @dataclass(frozen=True)
-class PatientRecord:
-    """One ICU stay: covariates, treatment, death-in-days, length of stay."""
+class Cohort:
+    """ICU stays as columns of the CSV schema, one entry per patient.
 
-    id: str
-    covariates: tuple[float, ...]
-    treatment: int
-    event_time: int
-    los: float
-    event_observed: int = 1
+    ``e`` treatment, ``t`` death in days, ``event`` censoring indicator
+    (integer columns), ``los`` length of stay, and ``z`` the n x p
+    covariate matrix. Rows are validated on construction.
+    """
+
+    ids: tuple[str, ...]
+    e: np.ndarray
+    t: np.ndarray
+    los: np.ndarray
+    event: np.ndarray
+    z: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.treatment not in (0, 1) or self.event_observed not in (0, 1):
-            raise EstimationError(f"record {self.id}: e and event must be 0/1")
-        if self.event_time <= 0:
-            raise EstimationError(f"record {self.id}: event_time must be a positive integer")
-        if not (self.los > 0):
-            raise EstimationError(f"record {self.id}: los must be positive")
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name, dtype in _COLUMNS.items():
+            arr = np.asarray(getattr(self, name)).astype(dtype, casting="same_kind")
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        fault = _first_invalid_row(self.ids, self.e, self.t, self.los, self.event, self.z)
+        if fault is not None:
+            raise EstimationError(f"record {self.ids[fault[0]]}: {fault[1]}")
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def take(self, rows) -> Cohort:
+        """The sub-cohort at ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=int)
+        columns = {name: getattr(self, name)[rows] for name in _COLUMNS}
+        return Cohort(ids=tuple(map(self.ids.__getitem__, rows.tolist())), **columns)
 
 
-def covariate_matrix(cohort: Sequence[PatientRecord]) -> np.ndarray:
-    widths = {len(r.covariates) for r in cohort}
-    if len(widths) != 1:
-        raise EstimationError(f"covariate vectors have mixed lengths: {sorted(widths)}")
-    return np.array([r.covariates for r in cohort], dtype=float)
+def _first_invalid_row(ids, e, t, los, event, z) -> tuple[int, str] | None:
+    """The first row that breaks a cohort rule, and the rule; columns of
+    the wrong length are not a row fault and raise."""
+    n = len(ids)
+    if z.ndim != 2 or any(len(column) != n for column in (e, t, los, event, z)):
+        raise EstimationError(f"cohort columns must have one entry per id ({n}) and z must be 2-D")
+    repeated = np.zeros(n, dtype=bool)
+    if len(set(ids)) < n:
+        first = dict(zip(reversed(ids), range(n - 1, -1, -1)))  # id -> its first row
+        repeated[:] = True
+        repeated[list(first.values())] = False
+    rules = (
+        ((e < 0) | (e > 1) | (event < 0) | (event > 1), "e and event must be 0/1"),
+        (t <= 0, "t must be a positive integer"),
+        (~(los > 0), "los must be positive"),
+        (~np.isfinite(los) | ~np.isfinite(z).all(axis=1), "los and z must be finite"),
+        (repeated, "duplicate id"),
+    )
+    faults = [(int(np.argmax(bad)), message) for bad, message in rules if bad.any()]
+    return min(faults, key=lambda fault: fault[0]) if faults else None
 
 
 # --- cohort CSV schema --------------------------------------------------------
 
 
-def load_cohort(path: str | Path) -> list[PatientRecord]:
+def load_cohort(path: str | Path) -> Cohort:
     """Parse a cohort CSV; any malformed field is a hard error with its line."""
-    records: list[PatientRecord] = []
+    ids: list[str] = []
+    e, t, event = array("q"), array("q"), array("q")
+    los, z = array("d"), array("d")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -107,31 +145,36 @@ def load_cohort(path: str | Path) -> list[PatientRecord]:
                     f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
             try:
-                records.append(
-                    PatientRecord(
-                        id=row[0],
-                        covariates=tuple(float(v) for v in row[5:]),
-                        treatment=int(row[1]),
-                        event_time=int(row[2]),
-                        los=float(row[3]),
-                        event_observed=int(row[4]),
-                    )
-                )
-            except (ValueError, EstimationError) as exc:
+                e.append(int(row[1]))
+                t.append(int(row[2]))
+                los.append(float(row[3]))
+                event.append(int(row[4]))
+                z.extend(map(float, row[5:]))
+            except (ValueError, OverflowError) as exc:
                 raise CohortFormatError(f"{path}: line {lineno}: {exc}") from exc
-    return records
+            ids.append(row[0])
+    columns = dict(
+        ids=tuple(ids),
+        e=np.asarray(e),
+        t=np.asarray(t),
+        los=np.asarray(los),
+        event=np.asarray(event),
+        z=np.reshape(z, (len(ids), p)),
+    )
+    fault = _first_invalid_row(**columns)
+    if fault is not None:
+        raise CohortFormatError(f"{path}: line {fault[0] + 2}: {fault[1]}")
+    return Cohort(**columns)
 
 
-def save_cohort(cohort: Sequence[PatientRecord], path: str | Path) -> None:
-    p = len(cohort[0].covariates) if cohort else 0
+def save_cohort(cohort: Cohort, path: str | Path) -> None:
+    p = cohort.z.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "e", "t", "los", "event"] + [f"z{i}" for i in range(1, p + 1)])
-        for r in cohort:
-            writer.writerow(
-                [r.id, r.treatment, r.event_time, f"{r.los:.17g}", r.event_observed]
-                + [f"{z:.17g}" for z in r.covariates]
-            )
+        columns = (getattr(cohort, name).tolist() for name in _COLUMNS)
+        for id_, e, t, los, event, z in zip(cohort.ids, *columns):
+            writer.writerow([id_, e, t, f"{los:.17g}", event] + [f"{v:.17g}" for v in z])
 
 
 # --- propensity model ---------------------------------------------------------
@@ -163,11 +206,11 @@ def _sigmoid(eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_propensity(cohort: Sequence[PatientRecord]) -> PropensityModel:
+def fit_propensity(cohort: Cohort) -> PropensityModel:
     """Maximum-likelihood logistic regression via iteratively reweighted
     least squares; converges when the score vector drops below 1e-8."""
-    z = covariate_matrix(cohort)
-    y = np.array([r.treatment for r in cohort], dtype=float)
+    z = cohort.z
+    y = cohort.e.astype(float)
     n, p = z.shape
     for arm, label in ((1, "treated"), (0, "control")):
         count = int(np.sum(y == arm))
@@ -184,9 +227,9 @@ def fit_propensity(cohort: Sequence[PatientRecord]) -> PropensityModel:
             raise SeparationError("fitted propensity reached 0/1: data are (quasi-)separated")
         score = x.T @ (y - prob)
         score_norm = float(np.max(np.abs(score)))
+        weights = prob * (1.0 - prob)
+        info = (x.T * weights) @ x / n
         if score_norm <= SCORE_TOL:
-            weights = prob * (1.0 - prob)
-            info = (x.T * weights) @ x / n
             try:
                 covariance = np.linalg.inv(info) / n
             except np.linalg.LinAlgError as exc:
@@ -198,8 +241,6 @@ def fit_propensity(cohort: Sequence[PatientRecord]) -> PropensityModel:
                 iterations=iteration - 1,
                 score_norm=score_norm,
             )
-        weights = prob * (1.0 - prob)
-        info = (x.T * weights) @ x / n
         try:
             step = solve_linear_system(info, score / n, pivot_tol=1e-10)
         except SingularMatrixError as exc:
@@ -213,16 +254,26 @@ def fit_propensity(cohort: Sequence[PatientRecord]) -> PropensityModel:
 
 @dataclass(frozen=True)
 class MatchResult:
-    """Treated/control pairing on propensity score."""
+    """Treated/control pairing on propensity score.
 
-    records: tuple[PatientRecord, ...]
+    ``treated`` and ``controls`` are cohort row indices in pair order.
+    """
+
+    treated: np.ndarray
+    controls: np.ndarray
     pairs: tuple[tuple[str, str], ...]
     dropped_treated: tuple[str, ...]
     mean_pair_distance: float
 
+    def __post_init__(self) -> None:
+        for name in ("treated", "controls"):
+            arr = np.array(getattr(self, name), dtype=int)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
 
 def match_one_to_one(
-    cohort: Sequence[PatientRecord],
+    cohort: Cohort,
     scores: np.ndarray,
     *,
     caliper: float | None = None,
@@ -237,46 +288,51 @@ def match_one_to_one(
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(cohort),):
         raise EstimationError("scores must align one-to-one with the cohort")
-    treated = [i for i, r in enumerate(cohort) if r.treatment == 1]
-    controls = [i for i, r in enumerate(cohort) if r.treatment == 0]
+    treated = np.flatnonzero(cohort.e == 1)
+    controls = np.flatnonzero(cohort.e == 0)
     if caliper is None and len(controls) < len(treated):
         raise InsufficientControlsError(
             f"{len(controls)} controls for {len(treated)} treated and no caliper"
         )
 
-    treated.sort(key=lambda i: (-scores[i], i))
-    pool = sorted((float(scores[i]), i) for i in controls)
-    pool_scores = [s for s, _ in pool]
+    treated = treated[np.lexsort((treated, -scores[treated]))]
+    pool = controls[np.lexsort((controls, scores[controls]))].tolist()
+    pool_scores = scores[pool].tolist()
 
-    kept: list[tuple[int, int]] = []
+    ids = cohort.ids
+    kept_treated: list[int] = []
+    kept_controls: list[int] = []
+    pairs: list[tuple[str, str]] = []
     dropped: list[str] = []
-    for ti in treated:
+    for ti in treated.tolist():
         target = float(scores[ti])
         pos = bisect.bisect_left(pool_scores, target)
         candidates = [j for j in (pos - 1, pos) if 0 <= j < len(pool)]
         if not candidates:
             if caliper is None:
                 raise InsufficientControlsError("control pool exhausted")
-            dropped.append(cohort[ti].id)
+            dropped.append(ids[ti])
             continue
         best = min(candidates, key=lambda j: (abs(pool_scores[j] - target), pool_scores[j]))
         distance = abs(pool_scores[best] - target)
         if caliper is not None and distance > caliper:
-            dropped.append(cohort[ti].id)
+            dropped.append(ids[ti])
             continue
-        kept.append((ti, pool[best][1]))
+        kept_treated.append(ti)
+        kept_controls.append(pool[best])
+        pairs.append((ids[ti], ids[pool[best]]))
         del pool[best]
         del pool_scores[best]
 
     if dropped:
         log.info("matching dropped %d treated outside caliper %s", len(dropped), caliper)
-    records = [cohort[t] for t, _ in kept] + [cohort[c] for _, c in kept]
-    distances = [abs(scores[t] - scores[c]) for t, c in kept]
+    distances = np.abs(scores[kept_treated] - scores[kept_controls])
     return MatchResult(
-        records=tuple(records),
-        pairs=tuple((cohort[t].id, cohort[c].id) for t, c in kept),
+        treated=kept_treated,
+        controls=kept_controls,
+        pairs=tuple(pairs),
         dropped_treated=tuple(dropped),
-        mean_pair_distance=float(np.mean(distances)) if distances else 0.0,
+        mean_pair_distance=float(np.mean(distances)) if distances.size else 0.0,
     )
 
 
@@ -344,12 +400,12 @@ def cox_partial_likelihood(
     return ll, grad, hess
 
 
-def fit_cox(group: Sequence[PatientRecord]) -> CoxFit:
+def fit_cox(group: Cohort) -> CoxFit:
     """Newton-Raphson maximization of the Breslow partial likelihood with
     step-halving; the accepted likelihood path never decreases."""
-    x = covariate_matrix(group)
-    times = np.array([r.event_time for r in group], dtype=float)
-    events = np.array([r.event_observed for r in group], dtype=int)
+    x = group.z
+    times = group.t.astype(float)
+    events = group.event
     n, p = x.shape
     n_events = int(events.sum())
     if n_events < p + 1:
@@ -422,7 +478,7 @@ class ResponseScoreTable:
 def response_scores(
     fit0: CoxFit,
     fit1: CoxFit,
-    cohort: Sequence[PatientRecord],
+    cohort: Cohort,
     *,
     cutoff: float = 0.0,
 ) -> ResponseScoreTable:
@@ -431,14 +487,14 @@ def response_scores(
         raise EstimationError(
             f"coefficient dimension mismatch: {fit0.beta.shape} vs {fit1.beta.shape}"
         )
-    z = covariate_matrix(cohort)
+    z = cohort.z
     if z.shape[1] != fit0.beta.shape[0]:
         raise EstimationError(
             f"cohort has {z.shape[1]} covariates, fits have {fit0.beta.shape[0]}"
         )
     scores = z @ (fit1.beta - fit0.beta)
     return ResponseScoreTable(
-        ids=tuple(r.id for r in cohort),
+        ids=cohort.ids,
         scores=scores,
         classes=(scores > cutoff).astype(int),
         cutoff=float(cutoff),
@@ -447,17 +503,17 @@ def response_scores(
 
 # --- outcome rates -----------------------------------------------------------
 
-OutcomeCriterion = Callable[[PatientRecord], int]
+OutcomeCriterion = Callable[[Cohort], np.ndarray]
 
 
-def death_before_discharge(record: PatientRecord) -> int:
-    """1 when an observed death happened before ICU discharge."""
-    return int(record.event_observed == 1 and record.event_time < record.los)
+def death_before_discharge(cohort: Cohort) -> np.ndarray:
+    """1 for each patient whose observed death came before ICU discharge."""
+    return ((cohort.event == 1) & (cohort.t < cohort.los)).astype(int)
 
 
 def death_within(days: float) -> OutcomeCriterion:
-    def criterion(record: PatientRecord) -> int:
-        return int(record.event_observed == 1 and record.event_time <= days)
+    def criterion(cohort: Cohort) -> np.ndarray:
+        return ((cohort.event == 1) & (cohort.t <= days)).astype(int)
 
     criterion.__name__ = f"death_within_{days:g}"
     return criterion
@@ -507,7 +563,7 @@ class OutcomeRateTable:
 
 def outcome_rates(
     table: ResponseScoreTable,
-    cohort: Sequence[PatientRecord],
+    cohort: Cohort,
     criterion: OutcomeCriterion = death_before_discharge,
     *,
     orientation: str = "survival",
@@ -525,11 +581,10 @@ def outcome_rates(
     raw: dict[tuple[int, int], float | None] = {}
     oriented: dict[tuple[int, int], float | None] = {}
     empty: list[tuple[int, int]] = []
-    flags = np.array([criterion(r) for r in cohort], dtype=float)
-    treatments = np.array([r.treatment for r in cohort], dtype=int)
+    flags = criterion(cohort).astype(float)
     for r_class in (0, 1):
         for e in (0, 1):
-            mask = (table.classes == r_class) & (treatments == e)
+            mask = (table.classes == r_class) & (cohort.e == e)
             count = int(mask.sum())
             counts[(r_class, e)] = count
             if count == 0:
@@ -599,13 +654,13 @@ def _stage(name: str, func, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-def run_pipeline(cohort: Sequence[PatientRecord], config: PipelineConfig = PipelineConfig()) -> PipelineResult:
+def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     """Chain propensity fit, matching, the two Cox fits, scoring, and rates."""
     propensity = _stage("fit_propensity", fit_propensity, cohort)
     match = _stage("match_one_to_one", match_one_to_one, cohort, propensity.scores, caliper=config.caliper)
-    matched = list(match.records)
-    control_arm = [r for r in matched if r.treatment == 0]
-    treated_arm = [r for r in matched if r.treatment == 1]
+    matched = cohort.take(np.concatenate([match.treated, match.controls]))
+    control_arm = cohort.take(match.controls)
+    treated_arm = cohort.take(match.treated)
     fit0 = _stage("fit_cox_control", fit_cox, control_arm)
     fit1 = _stage("fit_cox_treated", fit_cox, treated_arm)
     table = _stage("response_scores", response_scores, fit0, fit1, matched, cutoff=config.cutoff)

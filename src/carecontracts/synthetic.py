@@ -26,13 +26,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 
 from .domain import ModelParams, dollars, expected_survival, params_to_dict
 from .errors import EstimationError
-from .estimation import PatientRecord, PipelineConfig, run_pipeline
+from .estimation import Cohort, PipelineConfig, run_pipeline
 from .simulation import PolicyComparison, comparison_to_dict, compare_policies
 from .solvers import solve_non_negative
 
@@ -110,9 +109,7 @@ def _solve_intercept(linear: np.ndarray, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def generate_cohort(
-    spec: SyntheticCohortSpec, seed: int
-) -> tuple[list[PatientRecord], SyntheticTruth]:
+def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, SyntheticTruth]:
     p = len(spec.beta_control)
     if len(spec.beta_treated) != p or len(spec.propensity_slopes) != p:
         raise EstimationError("planted coefficient vectors must share one length")
@@ -151,17 +148,14 @@ def generate_cohort(
     )
 
     width = len(str(spec.n))
-    records = [
-        PatientRecord(
-            id=f"p{i:0{width}d}",
-            covariates=tuple(z[i]),
-            treatment=int(treated[i]),
-            event_time=int(death_days[i]),
-            los=float(los[i]),
-            event_observed=1,
-        )
-        for i in range(spec.n)
-    ]
+    cohort = Cohort(
+        ids=tuple(f"p{i:0{width}d}" for i in range(spec.n)),
+        e=treated.astype(int),
+        t=death_days,
+        los=los,
+        event=np.ones(spec.n, dtype=int),
+        z=z,
+    )
     truth = SyntheticTruth(
         spec=spec,
         covariate_mean=mean,
@@ -169,7 +163,7 @@ def generate_cohort(
         true_classes=good.astype(int),
         n_treated=int(treated.sum()),
     )
-    return records, truth
+    return cohort, truth
 
 
 # --- random model parameters ---------------------------------------------------
@@ -223,7 +217,7 @@ def _verdict(name: str, obtained: float, expected: float, tol: float) -> dict:
 
 
 def reproduce_case_study(
-    cohort: Sequence[PatientRecord], spec: SyntheticCohortSpec, sim_n: int, seed: int
+    cohort: Cohort, spec: SyntheticCohortSpec, sim_n: int, seed: int
 ) -> tuple[ModelParams, PolicyComparison, dict]:
     """Estimate, solve and simulate the case study on ``cohort``.
 

@@ -20,12 +20,12 @@ def rng() -> np.random.Generator:
 def bundled_cohort():
     """The full planted cohort (n = 100,000) at the documented default seed."""
     spec = synthetic.SyntheticCohortSpec()
-    records, truth = synthetic.generate_cohort(spec, 13)
-    return spec, records, truth
+    cohort, truth = synthetic.generate_cohort(spec, 13)
+    return spec, cohort, truth
 
 
 @pytest.fixture(scope="session")
 def bundled_pipeline(bundled_cohort):
-    spec, records, truth = bundled_cohort
-    result = estimation.run_pipeline(records, estimation.PipelineConfig())
+    spec, cohort, truth = bundled_cohort
+    result = estimation.run_pipeline(cohort, estimation.PipelineConfig())
     return spec, truth, result

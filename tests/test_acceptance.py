@@ -198,9 +198,9 @@ def test_criterion_5_risk_averse_kkt_and_grid():
 
 
 def test_criterion_6_estimation_recovery(bundled_cohort):
-    spec, records, truth = bundled_cohort
+    spec, cohort, truth = bundled_cohort
     start = time.perf_counter()
-    result = run_pipeline(records)
+    result = run_pipeline(cohort)
     elapsed = time.perf_counter() - start
     params = result.params
 
@@ -212,10 +212,8 @@ def test_criterion_6_estimation_recovery(bundled_cohort):
     ok &= elapsed < 120.0
 
     # analytic Cox gradient vs central finite differences on one matched arm
-    arm = [r for r in records if r.treatment == 1][:3000]
-    times = np.array([r.event_time for r in arm], dtype=float)
-    events = np.array([r.event_observed for r in arm])
-    z = np.array([r.covariates for r in arm])
+    arm = cohort.take(np.flatnonzero(cohort.e == 1)[:3000])
+    times, events, z = arm.t.astype(float), arm.event, arm.z
     rng = np.random.default_rng(6)
     for _ in range(3):
         beta = rng.uniform(-0.5, 0.5, z.shape[1])

@@ -20,9 +20,9 @@ def params_file(tmp_path, icp_params):
 @pytest.fixture
 def small_cohort_file(tmp_path):
     spec = SyntheticCohortSpec(n=12_000, treated_fraction=0.25)
-    records, _ = generate_cohort(spec, 8)
+    cohort, _ = generate_cohort(spec, 8)
     path = tmp_path / "cohort.csv"
-    save_cohort(records, path)
+    save_cohort(cohort, path)
     return path
 
 
@@ -91,6 +91,23 @@ class TestSolveCommand:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["solve", "--model", "cubic", "--params", "x.json"]) == 2
+
+    @pytest.mark.parametrize(
+        "payload, code",
+        [
+            ({"gamma": 0.4}, 2),
+            ({"pi": 5, "gamma": 0.4}, 2),
+            ({"pi": {"00": "low", "01": 0.75, "10": 0.66, "11": 0.85}, "gamma": 0.44}, 2),
+            ({"pi": {"00": 0.51, "01": 0.75, "10": 0.66, "11": 0.85}, "gamma": [0.44]}, 2),
+            ({"pi": {"00": 1.5, "01": 0.75, "10": 0.66, "11": 0.85}, "gamma": 0.44}, 1),
+        ],
+    )
+    def test_malformed_params_file_exits_2(self, tmp_path, capsys, payload, code):
+        """A missing key or a wrong-typed field is a parse error; a range violation is not."""
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(payload))
+        assert main(["solve", "--model", "nonneg", "--params", str(path)]) == code
+        assert "error:" in capsys.readouterr().err
 
 
 class TestEstimateCommand:

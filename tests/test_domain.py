@@ -195,3 +195,9 @@ class TestParamsJson:
     def test_malformed_file_rejected(self):
         with pytest.raises(InvalidParamsError):
             params_from_dict({"gamma": 0.44})
+
+    def test_dump_rejects_nan(self, tmp_path, icp_params):
+        # validation keeps NaN out of ModelParams; the writer refuses it as a second line
+        object.__setattr__(icp_params, "phi", float("nan"))
+        with pytest.raises(ValueError):
+            dump_params(icp_params, tmp_path / "params.json")
