@@ -169,9 +169,6 @@ class Contract:
         """Payment for outcome ``q`` under expenditure ``e``."""
         return ((self.p00, self.p01), (self.p10, self.p11))[q][e]
 
-    def is_nonnegative(self, tol: float = 0.0) -> bool:
-        return bool(np.all(self.as_array() >= -tol))
-
 
 @dataclass(frozen=True)
 class NormalizedSystem:

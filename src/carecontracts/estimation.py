@@ -18,7 +18,6 @@ indicator e, death-in-days t (positive integer), ICU length of stay los
 
 from __future__ import annotations
 
-import bisect
 import csv
 import logging
 import warnings
@@ -53,6 +52,10 @@ DIVERGENT_BETA = 50.0
 
 # Cohort columns after ``id``, in CSV order, with their dtypes.
 _COLUMNS = {"e": int, "t": int, "los": float, "event": int, "z": float}
+# Rows per ``csv.writer.writerows`` call in ``save_cohort``; bounds the
+# Python objects alive at once.
+_WRITE_CHUNK = 65_536
+_exact = "{:.17g}".format
 
 
 class AssumptionWarning(UserWarning):
@@ -168,13 +171,23 @@ def load_cohort(path: str | Path) -> Cohort:
 
 
 def save_cohort(cohort: Cohort, path: str | Path) -> None:
+    """Write ``cohort`` as CSV; floats use ``%.17g`` and so load back exactly."""
     p = cohort.z.shape[1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "e", "t", "los", "event"] + [f"z{i}" for i in range(1, p + 1)])
-        columns = (getattr(cohort, name).tolist() for name in _COLUMNS)
-        for id_, e, t, los, event, z in zip(cohort.ids, *columns):
-            writer.writerow([id_, e, t, f"{los:.17g}", event] + [f"{v:.17g}" for v in z])
+        for start in range(0, len(cohort), _WRITE_CHUNK):
+            rows = slice(start, start + _WRITE_CHUNK)
+            writer.writerows(
+                zip(
+                    cohort.ids[rows],
+                    cohort.e[rows].tolist(),
+                    cohort.t[rows].tolist(),
+                    map(_exact, cohort.los[rows].tolist()),
+                    cohort.event[rows].tolist(),
+                    *(map(_exact, column.tolist()) for column in cohort.z[rows].T),
+                )
+            )
 
 
 # --- propensity model ---------------------------------------------------------
@@ -280,10 +293,20 @@ def match_one_to_one(
 ) -> MatchResult:
     """Greedy 1-1 nearest-neighbor matching without replacement.
 
-    Treated records are processed in descending score order; each takes
-    the closest remaining control (ties go to the lower score). With a
-    caliper, treated with no control inside it are dropped and logged;
-    without one, fewer controls than treated is an error.
+    Treated records are processed in descending score order, equal scores
+    in row order, and each takes the nearest remaining control:
+
+    - of two equally near controls, the lower score wins;
+    - among equal-score controls at or above the treated score, the lower
+      row index wins;
+    - among equal-score controls below the treated score, the higher row
+      index wins (see ``DECISIONS.md``);
+    - with a caliper, a treated record whose nearest control lies beyond
+      it is dropped and logged, and that control stays in the pool.
+
+    Without a caliper, fewer controls than treated is an error. The
+    controls are sorted once by (score, index) and never moved; used slots
+    are skipped through union-find links, so the cost is O(n log n).
     """
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (len(cohort),):
@@ -296,41 +319,57 @@ def match_one_to_one(
         )
 
     treated = treated[np.lexsort((treated, -scores[treated]))]
-    pool = controls[np.lexsort((controls, scores[controls]))].tolist()
-    pool_scores = scores[pool].tolist()
+    pool = controls[np.lexsort((controls, scores[controls]))]
+    pool_scores = scores[pool]
+    targets = scores[treated]
+    starts = np.searchsorted(pool_scores, targets, side="left")
+    # Indexing a memoryview yields Python floats without boxing the pool.
+    slot_score = memoryview(pool_scores)
+    m = len(pool)
+    # Union-find links over the static pool, kept only for used slots, so
+    # they cost memory per pair and not per control. Following ``right``
+    # from i reaches the first live slot >= i (m: none); following ``left``
+    # from i reaches one past the last live slot < i (0: none).
+    right: dict[int, int] = {}
+    left: dict[int, int] = {}
+
+    def find(links: dict[int, int], i: int) -> int:
+        root = i
+        while root in links:
+            root = links[root]
+        while i != root:
+            links[i], i = root, links[i]
+        return root
 
     ids = cohort.ids
     kept_treated: list[int] = []
-    kept_controls: list[int] = []
-    pairs: list[tuple[str, str]] = []
+    kept_slots: list[int] = []
     dropped: list[str] = []
-    for ti in treated.tolist():
-        target = float(scores[ti])
-        pos = bisect.bisect_left(pool_scores, target)
-        candidates = [j for j in (pos - 1, pos) if 0 <= j < len(pool)]
+    for ti, target, start in zip(treated.tolist(), targets.tolist(), starts.tolist()):
+        candidates = [j for j in (find(left, start) - 1, find(right, start)) if 0 <= j < m]
         if not candidates:
             if caliper is None:
                 raise InsufficientControlsError("control pool exhausted")
             dropped.append(ids[ti])
             continue
-        best = min(candidates, key=lambda j: (abs(pool_scores[j] - target), pool_scores[j]))
-        distance = abs(pool_scores[best] - target)
+        best = min(candidates, key=lambda j: (abs(slot_score[j] - target), slot_score[j]))
+        distance = abs(slot_score[best] - target)
         if caliper is not None and distance > caliper:
             dropped.append(ids[ti])
             continue
         kept_treated.append(ti)
-        kept_controls.append(pool[best])
-        pairs.append((ids[ti], ids[pool[best]]))
-        del pool[best]
-        del pool_scores[best]
+        kept_slots.append(best)
+        right[best] = best + 1
+        left[best + 1] = best
 
+    kept_controls = pool[kept_slots].tolist()
     if dropped:
         log.info("matching dropped %d treated outside caliper %s", len(dropped), caliper)
     distances = np.abs(scores[kept_treated] - scores[kept_controls])
     return MatchResult(
         treated=kept_treated,
         controls=kept_controls,
-        pairs=tuple(pairs),
+        pairs=tuple(zip(map(ids.__getitem__, kept_treated), map(ids.__getitem__, kept_controls))),
         dropped_treated=tuple(dropped),
         mean_pair_distance=float(np.mean(distances)) if distances.size else 0.0,
     )

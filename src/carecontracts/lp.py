@@ -223,12 +223,6 @@ class LPResult:
     optimal_points: tuple[BasicPoint, ...]
     n_basic_points: int
 
-    @property
-    def argmin(self) -> np.ndarray:
-        if self.status != "optimal":
-            raise NumericalError(f"LP status is {self.status}, no argmin")
-        return self.optimal_points[0].solution
-
 
 def solve_lp(lp: StandardFormLP, **enum_kwargs) -> LPResult:
     """Minimum over primal-feasible basic points, with status detection.

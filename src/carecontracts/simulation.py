@@ -92,6 +92,8 @@ class _PopulationDraws:
 
 
 def _draw_population(params: ModelParams, n: int, seed: int) -> _PopulationDraws:
+    if n < 2:
+        raise ValueError(f"n={n}: need at least two simulated patients for the 95% intervals")
     # independent, named streams: one per random source, all from the master seed
     status_rng, label_rng, outcome_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
@@ -103,6 +105,15 @@ def _draw_population(params: ModelParams, n: int, seed: int) -> _PopulationDraws
     )
 
 
+def _cell_index(row: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """``2 * row + column`` per draw, one byte each: the flat index of a
+    draw's cell in a 2x2 table."""
+    cell = row.astype(np.uint8)
+    cell <<= 1
+    cell |= column
+    return cell
+
+
 def _evaluate(
     params: ModelParams,
     policy: Policy,
@@ -110,34 +121,27 @@ def _evaluate(
     baseline_survival: float | None,
 ) -> PolicyReport:
     n = draws.true_good.size
-    true_good = draws.true_good
     if policy.kind is AssignmentRule.MATCHED:
-        observed_good = np.where(
-            true_good,
+        high = np.where(
+            draws.true_good,
             draws.label_uniform >= policy.w0,
             draws.label_uniform < policy.w1,
         )
-        expenditure = observed_good.astype(int)
-    elif policy.kind is AssignmentRule.PURE_HIGH:
-        expenditure = np.ones(n, dtype=int)
     else:
-        expenditure = np.zeros(n, dtype=int)
+        high = np.full(n, policy.kind is AssignmentRule.PURE_HIGH)
 
-    pi_cells = np.array(
-        [[params.pi00, params.pi01], [params.pi10, params.pi11]], dtype=float
-    )
-    survived = draws.outcome_uniform < pi_cells[true_good.astype(int), expenditure]
-    pay_cells = np.array(
-        [
-            [policy.contract.p00, policy.contract.p01],
-            [policy.contract.p10, policy.contract.p11],
-        ],
-        dtype=float,
-    )
-    payments = pay_cells[survived.astype(int), expenditure]
+    # Flat 2x2 tables indexed by one-byte cell numbers: the only n-float
+    # arrays are the survival thresholds, freed at once, and the payments.
+    pi_cells = np.array([params.pi00, params.pi01, params.pi10, params.pi11])
+    survived = draws.outcome_uniform < pi_cells[_cell_index(draws.true_good, high)]
+    payments = policy.contract.as_array()[_cell_index(survived, high)]
 
     survival_rate = float(survived.mean())
     mean_payment = float(payments.mean())
+    # payments.std(ddof=1), step for step, in place of its n-float temporary
+    payments -= mean_payment
+    payments *= payments
+    sd_payment = np.sqrt(payments.sum() / (n - 1))
     paying = abs(mean_payment) > PAYING_TOL
     return PolicyReport(
         policy=policy.kind.value,
@@ -145,7 +149,7 @@ def _evaluate(
         survival_rate=survival_rate,
         mean_payment=mean_payment,
         ci95_survival=1.96 * float(np.sqrt(survival_rate * (1 - survival_rate) / n)),
-        ci95_payment=1.96 * float(payments.std(ddof=1) / np.sqrt(n)),
+        ci95_payment=1.96 * float(sd_payment / np.sqrt(n)),
         avg_ratio=survival_rate / mean_payment if paying else None,
         marginal_ratio=(survival_rate - baseline_survival) / mean_payment
         if paying and baseline_survival is not None
@@ -162,8 +166,6 @@ def simulate_policy(
     baseline_survival: float | None = None,
 ) -> PolicyReport:
     """Simulate one policy on ``n`` model draws; deterministic in ``seed``."""
-    if n < 2:
-        raise ValueError(f"n={n}: need at least two simulated patients for the 95% intervals")
     return _evaluate(params, policy, _draw_population(params, n, seed), baseline_survival)
 
 
@@ -182,8 +184,6 @@ def compare_policies(
     dominance indicators compare the matched policy against pure high on
     the average and marginal cost-effectiveness ratios.
     """
-    if n < 2:
-        raise ValueError(f"n={n}: need at least two simulated patients for the 95% intervals")
     draws = _draw_population(params, n, seed)
     low = _evaluate(params, Policy(AssignmentRule.PURE_LOW, contract), draws, None)
     baseline = low.survival_rate

@@ -177,6 +177,65 @@ class TestMatching:
                 assert current <= swapped + 1e-12
 
 
+def reference_match(cohort, scores, caliper=None):
+    """Greedy matching by a full scan of the live controls for each treated
+    patient, following the documented rules; the oracle for the matcher."""
+    treated = sorted(np.flatnonzero(cohort.e == 1).tolist(), key=lambda i: (-scores[i], i))
+    live = np.flatnonzero(cohort.e == 0).tolist()
+    if caliper is None and len(live) < len(treated):
+        raise InsufficientControlsError("fewer controls than treated")
+    kept, dropped = [], []
+    for ti in treated:
+        target = scores[ti]
+
+        def rank(ci):
+            # nearest first, then lower score, then the index rule for equal scores
+            return (abs(scores[ci] - target), scores[ci], ci if scores[ci] >= target else -ci)
+
+        best = min(live, key=rank, default=None)  # None only with a caliper
+        if best is None or (caliper is not None and abs(scores[best] - target) > caliper):
+            dropped.append(cohort.ids[ti])
+            continue
+        live.remove(best)
+        kept.append((ti, best))
+    kept_t = [t for t, _ in kept]
+    kept_c = [c for _, c in kept]
+    distances = np.abs(scores[kept_t] - scores[kept_c])
+    return (
+        kept_t,
+        kept_c,
+        tuple((cohort.ids[t], cohort.ids[c]) for t, c in kept),
+        tuple(dropped),
+        float(np.mean(distances)) if distances.size else 0.0,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 8)), min_size=1, max_size=30),
+    caliper=st.sampled_from([None, 0.0, 0.125, 0.3]),
+)
+def test_matching_agrees_with_full_scan(rows, caliper):
+    """Dyadic scores (eighths) make distances and scores tie exactly and often."""
+    e = [flag for flag, _ in rows]
+    scores = np.array([eighths / 8 for _, eighths in rows])
+    cohort = make_cohort(np.zeros((len(rows), 1)), e)
+    try:
+        expected = reference_match(cohort, scores, caliper)
+    except InsufficientControlsError:
+        with pytest.raises(InsufficientControlsError):
+            match_one_to_one(cohort, scores, caliper=caliper)
+        return
+    result = match_one_to_one(cohort, scores, caliper=caliper)
+    assert (
+        result.treated.tolist(),
+        result.controls.tolist(),
+        result.pairs,
+        result.dropped_treated,
+        result.mean_pair_distance,
+    ) == expected
+
+
 class TestFitCox:
     def test_recovers_planted_coefficients(self, rng):
         truth = (0.5, -0.3)
@@ -437,6 +496,35 @@ class TestCohortCsv:
         path.write_text("id,e,t,los,event,z1\np1,1,5,3.0,1,0.2\np2,0,5,3.0,1,0.2\np1,0,5,3.0,1,0.2\n")
         with pytest.raises(CohortFormatError, match="line 4: duplicate id"):
             load_cohort(path)
+
+    def test_chunked_write_matches_row_by_row_csv(self, tmp_path, rng):
+        """A cohort longer than one write chunk, with ids that need quoting,
+        gives the bytes of a plain row-by-row csv.writer and loads back."""
+        n = estimation._WRITE_CHUNK + 3
+        cohort = Cohort(
+            ids=tuple(f'p{i},"{i % 7}"' for i in range(n)),
+            e=rng.integers(0, 2, n),
+            t=rng.integers(1, 90, n),
+            los=rng.exponential(5.0, n) + 0.1,
+            event=rng.integers(0, 2, n),
+            z=rng.normal(size=(n, 2)),
+        )
+        path, reference = tmp_path / "cohort.csv", tmp_path / "reference.csv"
+        save_cohort(cohort, path)
+        with open(reference, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["id", "e", "t", "los", "event", "z1", "z2"])
+            for i in range(n):
+                writer.writerow(
+                    [cohort.ids[i], int(cohort.e[i]), int(cohort.t[i]), f"{cohort.los[i]:.17g}"]
+                    + [int(cohort.event[i])]
+                    + [f"{v:.17g}" for v in cohort.z[i]]
+                )
+        assert path.read_bytes() == reference.read_bytes()
+        loaded = load_cohort(path)
+        assert loaded.ids == cohort.ids
+        for column in ("e", "t", "los", "event", "z"):
+            assert np.array_equal(getattr(loaded, column), getattr(cohort, column))
 
     def test_integer_overflow_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"

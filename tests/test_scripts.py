@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 
+from carecontracts.domain import ModelParams
 from carecontracts.estimation import load_cohort
+from carecontracts.solvers import solve_non_negative_misclassified
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -21,3 +23,17 @@ def test_make_fixture_writes_the_generated_cohort(tmp_path, monkeypatch, capsys)
     assert loaded.ids == expected.ids
     for column in ("e", "t", "los", "event", "z"):
         assert np.array_equal(getattr(loaded, column), getattr(expected, column))
+
+
+def test_noise_sweep_prints_the_closed_form_value(monkeypatch, capsys):
+    argv = ["noise_sweep.py", "--steps", "2", "--n", "1000"]
+    monkeypatch.setattr(sys, "argv", argv)
+    runpy.run_path(str(SCRIPTS / "noise_sweep.py"), run_name="__main__")
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    grid = [(w0, w1) for w0 in (0.0, 0.4) for w1 in (0.0, 0.4)]
+    assert len(rows) == len(grid)
+    base = ModelParams(pi00=0.51, pi01=0.75, pi10=0.66, pi11=0.85, gamma=0.44)
+    for row, (w0, w1) in zip(rows, grid):
+        value = solve_non_negative_misclassified(base.with_misclassification(w0, w1)).optimal_value
+        assert row[:3] == [f"{w0:.2f}", f"{w1:.2f}", f"{value:.4f}"]
+        assert row[5] in ("yes", "no")

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from carecontracts import simulation
 from carecontracts.domain import AssignmentRule, ModelParams, expected_survival
 from carecontracts.simulation import (
     CSV_HEADER,
@@ -146,6 +147,29 @@ class TestComparePolicies:
         for ra, rb in zip(a.reports, b.reports):
             assert ra.avg_ratio == rb.avg_ratio
             assert ra.marginal_ratio == rb.marginal_ratio
+
+    @pytest.mark.parametrize("n", [2, 3, 30_001])
+    def test_reports_equal_plain_table_lookups(self, icp_params, n):
+        """Each report is bit-identical to 2x2 lookups with int64 indices and
+        numpy's own mean and ``std(ddof=1)`` on the same draws."""
+        contract = max_gap_contract(icp_params)
+        w0, w1 = 0.1, 0.2
+        draws = simulation._draw_population(icp_params, n, 8)
+        comparison = compare_policies(icp_params, contract, n=n, seed=8, w0=w0, w1=w1)
+        pi_cells = np.array([[icp_params.pi00, icp_params.pi01], [icp_params.pi10, icp_params.pi11]])
+        pay_cells = contract.as_array().reshape(2, 2)
+        observed_good = np.where(
+            draws.true_good, draws.label_uniform >= w0, draws.label_uniform < w1
+        )
+        for report, expenditure in zip(
+            comparison.reports,
+            (observed_good.astype(int), np.ones(n, dtype=int), np.zeros(n, dtype=int)),
+        ):
+            survived = draws.outcome_uniform < pi_cells[draws.true_good.astype(int), expenditure]
+            payments = pay_cells[survived.astype(int), expenditure]
+            assert report.survival_rate == float(survived.mean())
+            assert report.mean_payment == float(payments.mean())
+            assert report.ci95_payment == 1.96 * float(payments.std(ddof=1) / np.sqrt(n))
 
     def test_almost_all_good_responders(self):
         params = ModelParams(0.51, 0.75, 0.66, 0.85, gamma=0.999)
