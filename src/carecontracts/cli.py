@@ -26,6 +26,7 @@ from .domain import (
     expected_payment,
     load_params,
     params_to_dict,
+    read_json,
 )
 from .errors import CareContractsError, CohortFormatError, ParamsFormatError
 from .solvers import (
@@ -157,12 +158,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _load_contract(spec: str, params: ModelParams) -> Contract:
     if spec == "from-solver":
         return solve_non_negative(params, 0.0).contract
-    with open(spec, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(spec)
     try:
-        return Contract(*(float(data[key]) for key in ("p00", "p01", "p10", "p11")))
-    except (KeyError, TypeError) as exc:
+        payments = {key: float(data[key]) for key in ("p00", "p01", "p10", "p11")}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed contract file {spec}: missing or bad field {exc}") from exc
+    for key, value in payments.items():
+        if not np.isfinite(value):
+            raise ValueError(f"malformed contract file {spec}: {key}={value!r} is not finite")
+    return Contract(**payments)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:

@@ -58,6 +58,12 @@ def _check_prob(name: str, value: float) -> None:
         )
 
 
+def check_noise_rate(name: str, value: float) -> None:
+    """Raise unless the label-noise rate ``value`` is finite and in [0, 1)."""
+    if not np.isfinite(value) or not (0.0 <= value < 1.0):
+        raise InvalidParamsError(f"{name}={value!r} must lie in [0, 1)")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Outcome probabilities and preference weights of one contract problem.
@@ -86,9 +92,7 @@ class ModelParams:
         if not np.isfinite(self.disutility_f) or self.disutility_f <= 0:
             raise InvalidParamsError(f"disutility_f={self.disutility_f!r} must be positive")
         for name in ("w0", "w1"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or not (0.0 <= value < 1.0):
-                raise InvalidParamsError(f"{name}={value!r} must lie in [0, 1)")
+            check_noise_rate(name, getattr(self, name))
 
     def pi(self, s: int, e: int) -> float:
         """Survival probability for responder status ``s`` and expenditure ``e``."""
@@ -133,13 +137,13 @@ def require_ordering(params: ModelParams) -> None:
         )
 
 
-def require_distinct_benefit(params: ModelParams, atol: float = 1e-12) -> None:
-    """Raise when ``pi01*pi10 == pi00*pi11`` within ``atol``.
+def require_distinct_benefit(params: ModelParams) -> None:
+    """Raise when ``pi01*pi10 == pi00*pi11`` within 1e-12.
 
     The boundary is rejected explicitly rather than silently returning a
     degenerate vertex.
     """
-    if abs(params.distinct_benefit_margin()) <= atol:
+    if abs(params.distinct_benefit_margin()) <= 1e-12:
         raise AssumptionViolationError(
             "pi01*pi10 == pi00*pi11: responder benefit is identical at both "
             "expenditure levels, the payment family is degenerate"
@@ -311,14 +315,23 @@ def params_from_dict(data: Mapping) -> ModelParams:
             w0=float(data.get("w0", 0.0)),
             w1=float(data.get("w1", 0.0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParamsFormatError(f"malformed parameter file: missing or bad field {exc}") from exc
     return ModelParams(**values)
 
 
-def load_params(path: str | Path) -> ModelParams:
+def read_json(path: str | Path):
+    """The JSON value in the file at ``path``; nesting too deep for the
+    parser is a ``ParamsFormatError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return params_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ParamsFormatError(f"{path}: JSON nested too deeply") from None
+
+
+def load_params(path: str | Path) -> ModelParams:
+    return params_from_dict(read_json(path))
 
 
 def dump_params(params: ModelParams, path: str | Path) -> None:

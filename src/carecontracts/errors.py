@@ -38,7 +38,7 @@ class SingularMatrixError(NumericalError):
 
 
 class EnumerationTooLargeError(CareContractsError, ValueError):
-    """Basis enumeration would exceed the configured combinatorial cap."""
+    """Basis enumeration over more variables than the oracle accepts."""
 
 
 class EstimationError(CareContractsError):

@@ -48,6 +48,7 @@ SCORE_TOL = 1e-8
 MAX_ITER = 100
 SEPARATION_BAND = 1e-12
 DIVERGENT_BETA = 50.0
+HISTOGRAM_BINS = 40
 
 
 # Cohort columns after ``id``, in CSV order, with their dtypes.
@@ -131,31 +132,33 @@ def load_cohort(path: str | Path) -> Cohort:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CohortFormatError(f"{path}: empty file") from None
-        fixed = ["id", "e", "t", "los", "event"]
-        if header[: len(fixed)] != fixed or len(header) == len(fixed):
-            raise CohortFormatError(
-                f"{path}: line 1: header must be id,e,t,los,event,z1..zp, got {','.join(header)}"
-            )
-        p = len(header) - len(fixed)
-        if header[len(fixed) :] != [f"z{i}" for i in range(1, p + 1)]:
-            raise CohortFormatError(f"{path}: line 1: covariate columns must be z1..z{p}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
+            header = next(reader, None)
+            if header is None:
+                raise CohortFormatError(f"{path}: empty file")
+            fixed = ["id", "e", "t", "los", "event"]
+            if header[: len(fixed)] != fixed or len(header) == len(fixed):
                 raise CohortFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    f"{path}: line 1: header must be id,e,t,los,event,z1..zp, got {','.join(header)}"
                 )
-            try:
-                e.append(int(row[1]))
-                t.append(int(row[2]))
-                los.append(float(row[3]))
-                event.append(int(row[4]))
-                z.extend(map(float, row[5:]))
-            except (ValueError, OverflowError) as exc:
-                raise CohortFormatError(f"{path}: line {lineno}: {exc}") from exc
-            ids.append(row[0])
+            p = len(header) - len(fixed)
+            if header[len(fixed) :] != [f"z{i}" for i in range(1, p + 1)]:
+                raise CohortFormatError(f"{path}: line 1: covariate columns must be z1..z{p}")
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise CohortFormatError(
+                        f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    e.append(int(row[1]))
+                    t.append(int(row[2]))
+                    los.append(float(row[3]))
+                    event.append(int(row[4]))
+                    z.extend(map(float, row[5:]))
+                except (ValueError, OverflowError) as exc:
+                    raise CohortFormatError(f"{path}: line {lineno}: {exc}") from exc
+                ids.append(row[0])
+        except csv.Error as exc:  # a field over the csv module's size limit, say
+            raise CohortFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
     columns = dict(
         ids=tuple(ids),
         e=np.asarray(e),
@@ -164,10 +167,13 @@ def load_cohort(path: str | Path) -> Cohort:
         event=np.asarray(event),
         z=np.reshape(z, (len(ids), p)),
     )
-    fault = _first_invalid_row(**columns)
-    if fault is not None:
-        raise CohortFormatError(f"{path}: line {fault[0] + 2}: {fault[1]}")
-    return Cohort(**columns)
+    try:
+        return Cohort(**columns)
+    except EstimationError:
+        fault = _first_invalid_row(**columns)
+        if fault is None:
+            raise
+        raise CohortFormatError(f"{path}: line {fault[0] + 2}: {fault[1]}") from None
 
 
 def save_cohort(cohort: Cohort, path: str | Path) -> None:
@@ -579,10 +585,9 @@ class OutcomeRateTable:
     raw_rate: dict[tuple[int, int], float | None]
     pi_hat: dict[tuple[int, int], float | None]
     gamma_hat: float
-    orientation: str
     empty_cells: tuple[tuple[int, int], ...]
 
-    def to_model_params(self, *, phi: float = 1.0, disutility_f: float = 1.0) -> ModelParams:
+    def to_model_params(self) -> ModelParams:
         values = {}
         for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
             rate = self.pi_hat[cell]
@@ -595,8 +600,6 @@ class OutcomeRateTable:
             pi10=values[(1, 0)],
             pi11=values[(1, 1)],
             gamma=self.gamma_hat,
-            phi=phi,
-            disutility_f=disutility_f,
         )
 
 
@@ -641,7 +644,6 @@ def outcome_rates(
         raw_rate=raw,
         pi_hat=oriented,
         gamma_hat=float(np.mean(table.classes)),
-        orientation=orientation,
         empty_cells=tuple(empty),
     )
 
@@ -655,9 +657,6 @@ class PipelineConfig:
     caliper: float | None = None
     criterion: str = "death-before-discharge"
     orientation: str = "survival"
-    phi: float = 1.0
-    disutility_f: float = 1.0
-    histogram_bins: int = 40
 
 
 @dataclass(frozen=True)
@@ -693,6 +692,15 @@ def _stage(name: str, func, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
+def _cox_summary(fit: CoxFit) -> dict:
+    return {
+        "beta": fit.beta.tolist(),
+        "iterations": fit.iterations,
+        "gradient_norm": fit.gradient_norm,
+        "log_partial_likelihood": fit.log_partial_likelihood,
+    }
+
+
 def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> PipelineResult:
     """Chain propensity fit, matching, the two Cox fits, scoring, and rates."""
     propensity = _stage("fit_propensity", fit_propensity, cohort)
@@ -711,12 +719,7 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
         criterion_from_name(config.criterion),
         orientation=config.orientation,
     )
-    params = _stage(
-        "parameter_mapping",
-        rates.to_model_params,
-        phi=config.phi,
-        disutility_f=config.disutility_f,
-    )
+    params = _stage("parameter_mapping", rates.to_model_params)
 
     notes = [f"ordering violated: {v}" for v in params.ordering_violations()]
     if abs(params.distinct_benefit_margin()) <= 1e-6:
@@ -725,7 +728,7 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
         warnings.warn(note, AssumptionWarning, stacklevel=2)
 
     scores = table.scores
-    hist_counts, hist_edges = np.histogram(scores, bins=config.histogram_bins)
+    hist_counts, hist_edges = np.histogram(scores, bins=HISTOGRAM_BINS)
     quartiles = np.percentile(scores, [25, 50, 75])
     diagnostics = PipelineDiagnostics(
         n_input=len(cohort),
@@ -734,18 +737,8 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
         n_dropped_treated=len(match.dropped_treated),
         mean_pair_distance=match.mean_pair_distance,
         propensity_iterations=propensity.iterations,
-        cox_control={
-            "beta": fit0.beta.tolist(),
-            "iterations": fit0.iterations,
-            "gradient_norm": fit0.gradient_norm,
-            "log_partial_likelihood": fit0.log_partial_likelihood,
-        },
-        cox_treated={
-            "beta": fit1.beta.tolist(),
-            "iterations": fit1.iterations,
-            "gradient_norm": fit1.gradient_norm,
-            "log_partial_likelihood": fit1.log_partial_likelihood,
-        },
+        cox_control=_cox_summary(fit0),
+        cox_treated=_cox_summary(fit1),
         score_summary={
             "mean": float(scores.mean()),
             "std": float(scores.std(ddof=1)),

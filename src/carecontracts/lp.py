@@ -11,7 +11,6 @@ credibility over speed.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,6 @@ from .errors import EnumerationTooLargeError, NumericalError, SingularMatrixErro
 PRIMAL_TOL = 1e-10
 DUAL_TOL = 1e-9
 DEDUP_RESOLUTION = 1e-10
-ENUMERATION_CAP = 10_000
 MAX_VARIABLES = 12
 
 
@@ -61,63 +59,6 @@ def solve_linear_system(matrix, rhs, *, pivot_tol: float = 1e-12) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class RrefResult:
-    matrix: np.ndarray
-    rank: int
-    pivot_cols: tuple[int, ...]
-    min_pivot: float
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.matrix, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "matrix", arr)
-
-
-def rref(matrix, *, pivot_tol: float = 1e-12) -> RrefResult:
-    """Reduced row echelon form with partial pivoting.
-
-    ``min_pivot`` is the smallest pivot magnitude seen before row scaling;
-    callers use it to flag nearly rank-deficient systems.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("rref expects a 2-d matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("non-finite entries in matrix")
-    rows, cols = a.shape
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    tol = pivot_tol * scale
-
-    pivot_cols: list[int] = []
-    min_pivot = math.inf
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        pivot_row = row + int(np.argmax(np.abs(a[row:, col])))
-        pivot = a[pivot_row, col]
-        if abs(pivot) <= tol:
-            a[row:, col][np.abs(a[row:, col]) <= tol] = 0.0
-            continue
-        min_pivot = min(min_pivot, abs(pivot))
-        if pivot_row != row:
-            a[[row, pivot_row]] = a[[pivot_row, row]]
-        a[row] = a[row] / a[row, col]
-        others = [r for r in range(rows) if r != row]
-        a[others] -= np.outer(a[others, col], a[row])
-        pivot_cols.append(col)
-        row += 1
-
-    rank = len(pivot_cols)
-    return RrefResult(
-        matrix=a,
-        rank=rank,
-        pivot_cols=tuple(pivot_cols),
-        min_pivot=0.0 if rank == 0 else min_pivot,
-    )
-
-
-@dataclass(frozen=True)
 class StandardFormLP:
     """min objective.x subject to eq_matrix @ x = eq_rhs and x >= 0."""
 
@@ -144,14 +85,6 @@ class StandardFormLP:
         object.__setattr__(self, "eq_matrix", a)
         object.__setattr__(self, "eq_rhs", b)
 
-    @property
-    def n_vars(self) -> int:
-        return self.eq_matrix.shape[1]
-
-    @property
-    def n_rows(self) -> int:
-        return self.eq_matrix.shape[0]
-
 
 @dataclass(frozen=True)
 class BasicPoint:
@@ -169,24 +102,16 @@ class BasicPoint:
         object.__setattr__(self, "solution", arr)
 
 
-def enumerate_basic_points(
-    lp: StandardFormLP,
-    *,
-    primal_tol: float = PRIMAL_TOL,
-    dual_tol: float = DUAL_TOL,
-    cap: int = ENUMERATION_CAP,
-) -> list[BasicPoint]:
+def enumerate_basic_points(lp: StandardFormLP) -> list[BasicPoint]:
     """All basic points of ``lp``, one per distinct solution vector.
 
     Degenerate points reachable through several bases are deduplicated by
     hashing the solution vector at 1e-10 resolution; a merged point is
     dual feasible when any of its bases is.
     """
-    m, n = lp.n_rows, lp.n_vars
+    m, n = lp.eq_matrix.shape
     if n > MAX_VARIABLES:
         raise EnumerationTooLargeError(f"enumeration limited to {MAX_VARIABLES} variables, got {n}")
-    if math.comb(n, m) > cap:
-        raise EnumerationTooLargeError(f"C({n},{m}) exceeds cap {cap}")
 
     a, b, c = lp.eq_matrix, lp.eq_rhs, lp.objective
     by_key: dict[tuple, BasicPoint] = {}
@@ -203,8 +128,8 @@ def enumerate_basic_points(
         point = BasicPoint(
             basis=basis,
             solution=x,
-            primal_feasible=bool(np.all(x >= -primal_tol)),
-            dual_feasible=bool(np.all(reduced >= -dual_tol)),
+            primal_feasible=bool(np.all(x >= -PRIMAL_TOL)),
+            dual_feasible=bool(np.all(reduced >= -DUAL_TOL)),
             value=float(c @ x),
         )
         key = tuple(np.round(x / DEDUP_RESOLUTION).astype(np.int64))
@@ -224,17 +149,18 @@ class LPResult:
     n_basic_points: int
 
 
-def solve_lp(lp: StandardFormLP, **enum_kwargs) -> LPResult:
+def solve_lp(lp: StandardFormLP) -> LPResult:
     """Minimum over primal-feasible basic points, with status detection.
 
     A feasible bounded LP always carries an optimal basis that is both
     primal and dual feasible, so feasible points without any dual-feasible
     one among them indicate unboundedness. Requires ``eq_matrix`` to have
-    full row rank, which is checked.
+    full row rank: it has exactly when some basis is nonsingular, so no
+    basic point at all means rank deficiency.
     """
-    if rref(lp.eq_matrix).rank < lp.n_rows:
+    points = enumerate_basic_points(lp)
+    if not points:
         raise NumericalError("equality matrix is row-rank deficient")
-    points = enumerate_basic_points(lp, **enum_kwargs)
     feasible = [p for p in points if p.primal_feasible]
     if not feasible:
         return LPResult("infeasible", None, (), len(points))

@@ -18,7 +18,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .domain import AssignmentRule, Contract, ModelParams
+from .domain import AssignmentRule, Contract, ModelParams, check_noise_rate
 
 DEFAULT_N = 1_000_000
 PAYING_TOL = 1e-12
@@ -35,6 +35,8 @@ class Policy:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", AssignmentRule(self.kind))
+        check_noise_rate("w0", self.w0)
+        check_noise_rate("w1", self.w1)
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,8 @@ class PolicyReport:
     """Simulated survival, payment, and cost-effectiveness of one policy.
 
     ``avg_ratio`` is survival per unit payment; ``marginal_ratio`` is the
-    survival gain over the supplied baseline per unit payment. Both are
-    None for non-paying policies.
+    survival gain over pure-low per unit payment, set only by
+    ``compare_policies``. Both are None for non-paying policies.
     """
 
     policy: str
@@ -54,16 +56,6 @@ class PolicyReport:
     ci95_payment: float
     avg_ratio: float | None
     marginal_ratio: float | None
-
-    def row(self) -> list:
-        return [
-            self.policy,
-            self.n,
-            self.survival_rate,
-            self.mean_payment,
-            self.avg_ratio,
-            self.marginal_ratio,
-        ]
 
 
 @dataclass(frozen=True)
@@ -162,11 +154,9 @@ def simulate_policy(
     policy: Policy,
     n: int = DEFAULT_N,
     seed: int = 0,
-    *,
-    baseline_survival: float | None = None,
 ) -> PolicyReport:
     """Simulate one policy on ``n`` model draws; deterministic in ``seed``."""
-    return _evaluate(params, policy, _draw_population(params, n, seed), baseline_survival)
+    return _evaluate(params, policy, _draw_population(params, n, seed), None)
 
 
 def compare_policies(
@@ -232,7 +222,8 @@ def export_report_csv(reports: list[PolicyReport], out: str | Path | TextIO) -> 
     writer = csv.writer(out)
     writer.writerow(CSV_HEADER)
     for report in reports:
-        writer.writerow([_fmt(v) for v in report.row()])
+        row = report_to_dict(report)
+        writer.writerow([_fmt(row[key]) for key in CSV_HEADER])
 
 
 def report_to_dict(report: PolicyReport) -> dict:

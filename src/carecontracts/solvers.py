@@ -39,7 +39,9 @@ from .errors import (
 from .lp import solve_linear_system, solve_lp
 
 FEASIBILITY_TOL = 1e-9
+FAMILY_TOL = 1e-2
 KKT_TOL = 1e-8
+PROBE_UPPER = 4.0
 # Strictness margin on the solvability condition s1 < 1; values this close
 # to the boundary produce numerically useless contracts.
 SOLVABILITY_MARGIN = 1e-6
@@ -56,17 +58,15 @@ class SolvabilityCertificate:
     s1: float
 
 
-def check_binding_solvability(
-    params: ModelParams, *, margin: float = SOLVABILITY_MARGIN
-) -> SolvabilityCertificate:
+def check_binding_solvability(params: ModelParams) -> SolvabilityCertificate:
     """Solvability of the binding system.
 
     The system is solvable iff the uniform-high survival rate s1 stays
-    strictly below one; ``margin`` guards the boundary.
+    strictly below one; ``SOLVABILITY_MARGIN`` guards the boundary.
     """
     require_ordering(params)
     s1 = survival_summary(params).s1
-    return SolvabilityCertificate(solvable=bool(s1 < 1.0 - margin), s1=s1)
+    return SolvabilityCertificate(solvable=bool(s1 < 1.0 - SOLVABILITY_MARGIN), s1=s1)
 
 
 # --- free payment model -----------------------------------------------------
@@ -105,7 +105,6 @@ def solve_free_payment(params: ModelParams, p11: float = 1.0) -> FreePaymentSolu
     ``p11`` is free; the remaining payments follow in closed form. Fails
     when s1 >= 1 or pi10 == pi00 (the family's denominator vanishes).
     """
-    require_ordering(params)
     cert = check_binding_solvability(params)
     if not cert.solvable:
         raise DegenerateSystemError(
@@ -263,9 +262,7 @@ class UtilityTransform:
             name=f"power:{exponent:g}",
             forward=lambda x: np.power(x, exponent),
             inverse=lambda y: np.power(y, inv_exp),
-            inverse_derivative=lambda y: inv_exp * np.power(y, inv_exp - 1.0)
-            if inv_exp != 1.0
-            else np.ones_like(np.asarray(y, dtype=float)),
+            inverse_derivative=lambda y: inv_exp * np.power(y, inv_exp - 1.0),
         )
 
     @classmethod
@@ -288,14 +285,12 @@ class UtilityTransform:
         raise InvalidTransformError(f"unknown transform spec {spec!r}")
 
 
-def validate_transform(
-    g: UtilityTransform, *, grid_points: int = 64, upper: float = 4.0
-) -> None:
+def validate_transform(g: UtilityTransform) -> None:
     """Probe bijectivity, concavity, positivity, and inverse consistency.
 
-    Checks run on a fixed grid over [0, upper]; failures raise.
+    Checks run on a fixed 64-point grid over [0, PROBE_UPPER]; failures raise.
     """
-    x = np.linspace(0.0, upper, grid_points)
+    x = np.linspace(0.0, PROBE_UPPER, 64)
     fx = np.asarray(g.forward(x), dtype=float)
     if not np.all(np.isfinite(fx)):
         raise InvalidTransformError("transform produced non-finite values on the probe grid")
@@ -309,7 +304,7 @@ def validate_transform(
     if np.any(fx[1:-1] < 0.5 * (fx[:-2] + fx[2:]) - 1e-9):
         raise InvalidTransformError("transform fails midpoint concavity on the probe grid")
     back = np.asarray(g.inverse(fx), dtype=float)
-    if np.max(np.abs(back - x)) > 1e-10 * max(1.0, upper):
+    if np.max(np.abs(back - x)) > 1e-10 * PROBE_UPPER:
         raise InvalidTransformError("inverse(g(x)) deviates from x beyond 1e-10 on the grid")
     # slope of the inverse vs central differences, away from the endpoints
     y = np.asarray(g.forward(x[1:-1]), dtype=float)
@@ -464,14 +459,12 @@ def verify_contract(
     model: str,
     *,
     g: UtilityTransform | None = None,
-    feasibility_tol: float = FEASIBILITY_TOL,
-    family_tol: float = 1e-2,
 ) -> ContractCertificate:
     """Audit ``contract`` against model ``model`` in {free, nonneg, nonneg-w,
     risk-averse}; reports signed slacks, never raises on infeasibility.
 
-    ``near_optimal`` flags contracts within ``family_tol`` (euclidean, in
-    payment space) of the known optimal family.
+    ``near_optimal`` flags feasible contracts within ``FAMILY_TOL``
+    (euclidean, in payment space) of the known optimal family.
     """
     require_ordering(params)
     system = build_normalized_system(params)
@@ -479,7 +472,7 @@ def verify_contract(
 
     def status(name: str, value: float, bound: float) -> ConstraintStatus:
         slack = value - bound
-        return ConstraintStatus(name, value, bound, slack, slack >= -feasibility_tol)
+        return ConstraintStatus(name, value, bound, slack, slack >= -FEASIBILITY_TOL)
 
     # the risk-averse provider weighs incentives in transformed payments
     utility = p
@@ -528,7 +521,7 @@ def verify_contract(
         expected_payment=expected,
         optimality_gap=float(gap),
         distance_to_optimal_family=distance,
-        near_optimal=bool(feasible and distance <= family_tol),
+        near_optimal=bool(feasible and distance <= FAMILY_TOL),
     )
 
 

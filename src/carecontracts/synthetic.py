@@ -66,17 +66,13 @@ class SyntheticCohortSpec:
     baseline_hazard_control: float = 0.04
     baseline_hazard_treated: float = 0.03
 
-    def survival(self, r: int, e: int) -> float:
-        return ((self.pi00, self.pi01), (self.pi10, self.pi11))[r][e]
-
-    def planted_params(self, *, phi: float = 1.0) -> ModelParams:
+    def planted_params(self) -> ModelParams:
         return ModelParams(
             pi00=self.pi00,
             pi01=self.pi01,
             pi10=self.pi10,
             pi11=self.pi11,
             gamma=self.gamma,
-            phi=phi,
         )
 
 
@@ -85,16 +81,13 @@ class SyntheticTruth:
     """Everything the generator decided, for use as a test oracle."""
 
     spec: SyntheticCohortSpec
-    covariate_mean: np.ndarray
-    propensity_intercept: float
     true_classes: np.ndarray
     n_treated: int
 
     def __post_init__(self) -> None:
-        for name in ("covariate_mean", "true_classes"):
-            arr = np.array(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        arr = np.array(self.true_classes)
+        arr.flags.writeable = False
+        object.__setattr__(self, "true_classes", arr)
 
 
 def _solve_intercept(linear: np.ndarray, target: float) -> float:
@@ -158,8 +151,6 @@ def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, Synth
     )
     truth = SyntheticTruth(
         spec=spec,
-        covariate_mean=mean,
-        propensity_intercept=intercept,
         true_classes=good.astype(int),
         n_treated=int(treated.sum()),
     )
@@ -168,28 +159,28 @@ def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, Synth
 
 # --- random model parameters ---------------------------------------------------
 
+MAX_DRAWS = 10_000
+
 
 def sample_model_params(
     rng: np.random.Generator,
     *,
     require_free_solvable: bool = False,
     with_noise: bool = False,
-    benefit_margin: float = 1e-3,
-    max_draws: int = 10_000,
 ) -> ModelParams:
     """Random parameters satisfying the solver preconditions with margins.
 
     Draws respect the monotone ordering strictly, keep the benefit margin
-    ``|pi01*pi10 - pi00*pi11|`` away from zero, and (optionally) keep the
+    ``|pi01*pi10 - pi00*pi11|`` above 1e-3, and (optionally) keep the
     uniform-high survival rate below one so the free-payment family exists.
     """
-    for _ in range(max_draws):
+    for _ in range(MAX_DRAWS):
         pi00 = rng.uniform(0.05, 0.55)
         pi01 = rng.uniform(pi00 + 0.02, 0.8)
         pi10 = rng.uniform(pi00 + 0.02, 0.8)
         pi11 = rng.uniform(max(pi01, pi10) + 0.02, 0.97)
         gamma = rng.uniform(0.1, 0.9)
-        if abs(pi01 * pi10 - pi00 * pi11) <= benefit_margin:
+        if abs(pi01 * pi10 - pi00 * pi11) <= 1e-3:
             continue
         if require_free_solvable:
             s1 = (1 - gamma) * pi01 + gamma * pi11
@@ -200,7 +191,7 @@ def sample_model_params(
         return ModelParams(
             pi00=pi00, pi01=pi01, pi10=pi10, pi11=pi11, gamma=gamma, w0=w0, w1=w1
         )
-    raise RuntimeError(f"no valid parameter draw in {max_draws} attempts")
+    raise RuntimeError(f"no valid parameter draw in {MAX_DRAWS} attempts")
 
 
 # --- the case study ---------------------------------------------------------------

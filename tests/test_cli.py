@@ -243,6 +243,66 @@ class TestSimulateCommand:
         assert "'p10'" in err and str(contract_path) in err
 
 
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+_HUGE_INT = b"1" + b"0" * 400
+_ESTIMATE = ["estimate", "--cohort", "{file}", "--out", "{out}"]
+_SOLVE = ["solve", "--model", "nonneg", "--params", "{file}"]
+_SIMULATE = ["simulate", "--params", "{params}", "--n", "1000"]
+
+
+@pytest.mark.parametrize(
+    "argv, content, code, message",
+    [
+        (_ESTIMATE, b"id," + b"x" * 200_000 + b"\n", 2, "line 1"),
+        (_ESTIMATE, b"id,e,t,los,event,z1\np1,1,2,3.0,1," + b"9" * 200_000 + b"\n", 2, "line 2"),
+        (_SOLVE, _DEEP, 2, "{file}"),
+        (_SIMULATE + ["--contract", "{file}"], _DEEP, 2, "{file}"),
+        (_SIMULATE + ["--w0", "2"], None, 1, "w0=2.0"),
+        (_SIMULATE + ["--w1", "nan"], None, 1, "w1=nan"),
+        (
+            _SIMULATE + ["--contract", "{file}", "--format", "csv"],
+            b'{"p00": NaN, "p01": 0, "p10": 0, "p11": 1}',
+            2,
+            "p00",
+        ),
+        (
+            _SOLVE,
+            b'{"pi": {"00": ' + _HUGE_INT + b', "01": 0.7, "10": 0.6, "11": 0.8}, "gamma": 0.4}',
+            2,
+            "too large",
+        ),
+        (
+            _SIMULATE + ["--contract", "{file}"],
+            b'{"p00": ' + _HUGE_INT + b', "p01": 0, "p10": 0, "p11": 1}',
+            2,
+            "{file}",
+        ),
+    ],
+    ids=[
+        "cohort-header-field-limit",
+        "cohort-row-field-limit",
+        "params-nested",
+        "contract-nested",
+        "w0-out-of-range",
+        "w1-nan",
+        "contract-nan",
+        "params-huge-int",
+        "contract-huge-int",
+    ],
+)
+def test_bad_input_exit_code(tmp_path, params_file, capsys, argv, content, code, message):
+    """Bad input ends in its exit code and a message on stderr, never in a
+    traceback or a report."""
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    fill = {"file": str(path), "params": str(params_file), "out": str(tmp_path / "out.json")}
+    assert main([arg.format(**fill) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message.format(**fill) in captured.err
+
+
 class TestVerifyCommand:
     def test_all_trials_agree(self, capsys):
         assert main(["verify", "--trials", "20", "--seed", "7"]) == 0
