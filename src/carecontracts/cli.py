@@ -2,8 +2,8 @@
 
 All randomness flows from a single ``--seed`` (default 13, never
 time-based), machine-readable output carries full precision, and dollar
-columns are the only rounded rendering. Exit codes: 0 success, 1 model
-error (parameter/assumption violations), 2 I/O or parse error.
+columns are the only rounded rendering. :mod:`carecontracts.errors`
+states the exit codes.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from .domain import (
     ModelParams,
     dollars,
     dump_params,
-    expected_payment,
     load_params,
     params_to_dict,
     read_json,
 )
-from .errors import CareContractsError, CohortFormatError, ParamsFormatError
+from .errors import CareContractsError
 from .solvers import (
     CERTIFIED_CLAIMS,
     UtilityTransform,
@@ -68,7 +67,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.model == "free":
         solution = solve_free_payment(params, args.p11)
         contract = solution.contract
-        payload["free_p11"] = solution.free_p11
+        payload["free_p11"] = contract.p11
         payload["sensitivity"] = {
             "dp00_dp11": solution.sensitivity[0],
             "dp01_dp11": solution.sensitivity[1],
@@ -111,7 +110,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     payload["contract_dollars"] = {
         key: dollars(value, f_dollars) for key, value in payload["contract"].items()
     }
-    payload["expected_payment"] = expected_payment(params, contract, "matched")
+    payload["expected_payment"] = certificate.expected_payment
     payload["expected_payment_dollars"] = dollars(payload["expected_payment"], f_dollars)
     payload["certificate"] = asdict(certificate)
     _emit_json(payload, args.out)
@@ -186,6 +185,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     transforms = (UtilityTransform.power(0.5), UtilityTransform.log())
     tallies = dict.fromkeys(CERTIFIED_CLAIMS, 0)
@@ -305,15 +306,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (CohortFormatError, ParamsFormatError, OSError, json.JSONDecodeError) as exc:
+    except (CareContractsError, OSError, ValueError) as exc:  # codes: see errors.py
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CareContractsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # out-of-range flags (e.g. --t, --n)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -38,6 +38,15 @@ PROB_GUARD = 1e-9
 DEFAULT_F_DOLLARS = 10_000.0
 
 
+def freeze(obj, *names: str, dtype=float) -> None:
+    """Replace each named field of the frozen dataclass ``obj`` with a
+    read-only array copy of ``dtype`` (None keeps the inferred dtype)."""
+    for name in names:
+        arr = np.array(getattr(obj, name), dtype=dtype)
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
 def dollars(value: float, f_dollars: float = DEFAULT_F_DOLLARS) -> float:
     """``value`` in F units rendered in dollars, rounded to cents."""
     return round(value * f_dollars, 2)
@@ -186,10 +195,7 @@ class NormalizedSystem:
     b2: float = -1.0
 
     def __post_init__(self) -> None:
-        for name in ("c0", "c1", "c2"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, "c0", "c1", "c2")
 
     def stacked(self) -> np.ndarray:
         """Rows c0, c1, c2 as a 3x4 matrix."""
@@ -250,11 +256,8 @@ def expected_payment(
         system = build_normalized_system(params)
         return float(system.c0 @ contract.as_array())
     e = 1 if rule is AssignmentRule.PURE_HIGH else 0
-    per_status = [
-        (1 - params.pi(s, e)) * contract.payment(0, e) + params.pi(s, e) * contract.payment(1, e)
-        for s in (0, 1)
-    ]
-    return (1 - g) * per_status[0] + g * per_status[1]
+    bad, good = (provider_expected_payment(params, contract, s, e) for s in (0, 1))
+    return (1 - g) * bad + g * good
 
 
 def payer_utility(
@@ -321,11 +324,14 @@ def params_from_dict(data: Mapping) -> ModelParams:
 
 
 def read_json(path: str | Path):
-    """The JSON value in the file at ``path``; nesting too deep for the
-    parser is a ``ParamsFormatError`` naming the file."""
+    """The JSON value in the file at ``path``; text that is not UTF-8 or
+    not JSON, or nested too deeply for the parser, is a
+    ``ParamsFormatError`` naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ParamsFormatError(f"{path}: {exc}") from exc
         except RecursionError:
             raise ParamsFormatError(f"{path}: JSON nested too deeply") from None
 

@@ -1,12 +1,18 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the CLI's exit codes.
 
-The CLI maps these onto exit codes: model-level errors (bad parameters,
-broken assumptions, degenerate systems) exit 1, input format errors exit 2.
+This is the one statement of the exit-code rule. ``carecontracts`` exits
+0 on success. A package error exits with its class's ``exit_code``: 1
+for model errors (bad parameter values, broken assumptions, degenerate
+systems, failed fits), 2 for a cohort or parameter file that breaks its
+format. Any other I/O error (``OSError``) or bad value (``ValueError``,
+an out-of-range flag, say) exits 2, as does a command-line usage error.
 """
 
 
 class CareContractsError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 1
 
 
 class InvalidParamsError(CareContractsError, ValueError):
@@ -14,7 +20,9 @@ class InvalidParamsError(CareContractsError, ValueError):
 
 
 class ParamsFormatError(InvalidParamsError):
-    """A parameter file misses a key or has a field of the wrong type."""
+    """A JSON input file is not JSON, misses a key or has a field of the wrong type."""
+
+    exit_code = 2
 
 
 class AssumptionViolationError(CareContractsError):
@@ -67,6 +75,8 @@ class InsufficientControlsError(EstimationError):
 
 class CohortFormatError(CareContractsError, ValueError):
     """Cohort CSV violates the documented schema; message carries the line."""
+
+    exit_code = 2
 
 
 class StageError(EstimationError):

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .domain import ModelParams
+from .domain import ModelParams, freeze
 from .errors import (
     CohortFormatError,
     CollinearCovariatesError,
@@ -159,6 +159,9 @@ def load_cohort(path: str | Path) -> Cohort:
                 ids.append(row[0])
         except csv.Error as exc:  # a field over the csv module's size limit, say
             raise CohortFormatError(f"{path}: line {reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # Decoding runs a block ahead of the reader, so no exact line is known.
+            raise CohortFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     columns = dict(
         ids=tuple(ids),
         e=np.asarray(e),
@@ -210,10 +213,7 @@ class PropensityModel:
     score_norm: float
 
     def __post_init__(self) -> None:
-        for name in ("coefficients", "scores", "standard_errors"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, "coefficients", "scores", "standard_errors")
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -285,10 +285,7 @@ class MatchResult:
     mean_pair_distance: float
 
     def __post_init__(self) -> None:
-        for name in ("treated", "controls"):
-            arr = np.array(getattr(self, name), dtype=int)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, "treated", "controls", dtype=int)
 
 
 def match_one_to_one(
@@ -395,9 +392,7 @@ class CoxFit:
     ll_trace: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        arr = np.array(self.beta, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "beta", arr)
+        freeze(self, "beta")
 
 
 def cox_partial_likelihood(
@@ -514,10 +509,7 @@ class ResponseScoreTable:
     cutoff: float
 
     def __post_init__(self) -> None:
-        for name in ("scores", "classes"):
-            arr = np.array(getattr(self, name))
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, "scores", "classes", dtype=None)
 
 
 def response_scores(

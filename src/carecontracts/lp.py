@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import freeze
 from .errors import EnumerationTooLargeError, NumericalError, SingularMatrixError
 
 PRIMAL_TOL = 1e-10
@@ -67,9 +68,8 @@ class StandardFormLP:
     eq_rhs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.objective, dtype=float)
-        a = np.array(self.eq_matrix, dtype=float)
-        b = np.array(self.eq_rhs, dtype=float)
+        freeze(self, "objective", "eq_matrix", "eq_rhs")
+        c, a, b = self.objective, self.eq_matrix, self.eq_rhs
         if a.ndim != 2 or c.ndim != 1 or b.ndim != 1:
             raise ValueError("objective/rhs must be vectors and eq_matrix a matrix")
         m, n = a.shape
@@ -80,10 +80,6 @@ class StandardFormLP:
         for arr in (c, a, b):
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite entries in LP data")
-            arr.flags.writeable = False
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "eq_matrix", a)
-        object.__setattr__(self, "eq_rhs", b)
 
 
 @dataclass(frozen=True)
@@ -97,9 +93,7 @@ class BasicPoint:
     value: float
 
     def __post_init__(self) -> None:
-        arr = np.array(self.solution, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "solution", arr)
+        freeze(self, "solution")
 
 
 def enumerate_basic_points(lp: StandardFormLP) -> list[BasicPoint]:

@@ -26,6 +26,7 @@ from .domain import (
     ModelParams,
     NormalizedSystem,
     build_normalized_system,
+    freeze,
     require_distinct_benefit,
     require_ordering,
     survival_summary,
@@ -36,7 +37,7 @@ from .errors import (
     NumericalError,
     SingularMatrixError,
 )
-from .lp import solve_linear_system, solve_lp
+from .lp import StandardFormLP, solve_linear_system, solve_lp
 
 FEASIBILITY_TOL = 1e-9
 FAMILY_TOL = 1e-2
@@ -82,13 +83,10 @@ class FreePaymentSolution:
     """
 
     contract: Contract
-    free_p11: float
     sensitivity: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.sensitivity, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "sensitivity", arr)
+        freeze(self, "sensitivity")
 
 
 def free_payment_sensitivity(params: ModelParams) -> np.ndarray:
@@ -133,7 +131,6 @@ def solve_free_payment(params: ModelParams, p11: float = 1.0) -> FreePaymentSolu
 
     return FreePaymentSolution(
         contract=Contract(p00, p01, p10, float(p11)),
-        free_p11=float(p11),
         sensitivity=free_payment_sensitivity(params),
     )
 
@@ -202,9 +199,7 @@ class MisclassifiedSolution:
     objective: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.objective, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "objective", arr)
+        freeze(self, "objective")
 
 
 def solve_non_negative_misclassified(params: ModelParams) -> MisclassifiedSolution:
@@ -342,10 +337,7 @@ class RiskAverseSolution:
     kkt: KKTReport
 
     def __post_init__(self) -> None:
-        for name in ("w_contract", "mu"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, "w_contract", "mu")
 
 
 def _kkt_report(
@@ -440,6 +432,11 @@ class ContractCertificate:
     near_optimal: bool
 
 
+def _nonneg_segment_ends(params: ModelParams) -> tuple[np.ndarray, ...]:
+    """The t = 0 and t = 1 ends of the optimal non-negative segment."""
+    return tuple(solve_non_negative(params, t).contract.as_array() for t in (0.0, 1.0))
+
+
 def _segment_distance(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     d = b - a
     denom = float(d @ d)
@@ -466,7 +463,6 @@ def verify_contract(
     ``near_optimal`` flags feasible contracts within ``FAMILY_TOL``
     (euclidean, in payment space) of the known optimal family.
     """
-    require_ordering(params)
     system = build_normalized_system(params)
     p = contract.as_array()
 
@@ -497,9 +493,7 @@ def verify_contract(
         distance = _line_distance(p, base, direction)
         gap = abs(expected - 0.0)
     elif model == "nonneg":
-        lo = solve_non_negative(params, 0.0).contract.as_array()
-        hi = solve_non_negative(params, 1.0).contract.as_array()
-        distance = _segment_distance(p, lo, hi)
+        distance = _segment_distance(p, *_nonneg_segment_ends(params))
         gap = expected - params.gamma
     elif model == "nonneg-w":
         solution = solve_non_negative_misclassified(params)
@@ -534,8 +528,6 @@ def non_negative_lp(params: ModelParams, objective: np.ndarray | None = None):
     Variables are (p00, p01, p10, p11, v1, v2); ``objective`` defaults to
     the noiseless expected-payment coefficients.
     """
-    from .lp import StandardFormLP
-
     system = build_normalized_system(params)
     c = system.c0 if objective is None else np.asarray(objective, dtype=float)
     eq = np.vstack(
@@ -581,8 +573,7 @@ def certify(params: ModelParams, g: UtilityTransform) -> dict[str, bool]:
     KKT residual check at 1e-8 with the solver's multipliers.
     """
     result = solve_lp(non_negative_lp(params))
-    lo = solve_non_negative(params, 0.0).contract.as_array()
-    hi = solve_non_negative(params, 1.0).contract.as_array()
+    lo, hi = _nonneg_segment_ends(params)
     nonneg_ok = (
         result.status == "optimal"
         and abs(result.value - params.gamma) <= 1e-8

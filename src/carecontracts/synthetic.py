@@ -29,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import ModelParams, dollars, expected_survival, params_to_dict
+from .domain import ModelParams, dollars, expected_survival, freeze, params_to_dict, survival_summary
 from .errors import EstimationError
 from .estimation import Cohort, PipelineConfig, run_pipeline
 from .simulation import PolicyComparison, comparison_to_dict, compare_policies
@@ -85,9 +85,7 @@ class SyntheticTruth:
     n_treated: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.true_classes)
-        arr.flags.writeable = False
-        object.__setattr__(self, "true_classes", arr)
+        freeze(self, "true_classes", dtype=None)
 
 
 def _solve_intercept(linear: np.ndarray, target: float) -> float:
@@ -180,17 +178,15 @@ def sample_model_params(
         pi10 = rng.uniform(pi00 + 0.02, 0.8)
         pi11 = rng.uniform(max(pi01, pi10) + 0.02, 0.97)
         gamma = rng.uniform(0.1, 0.9)
-        if abs(pi01 * pi10 - pi00 * pi11) <= 1e-3:
+        params = ModelParams(pi00=pi00, pi01=pi01, pi10=pi10, pi11=pi11, gamma=gamma)
+        if abs(params.distinct_benefit_margin()) <= 1e-3:
             continue
         if require_free_solvable:
-            s1 = (1 - gamma) * pi01 + gamma * pi11
-            if s1 >= 0.98 or pi10 - pi00 <= 0.02:
+            if survival_summary(params).s1 >= 0.98 or pi10 - pi00 <= 0.02:
                 continue
         w0 = rng.uniform(0.0, 0.4) if with_noise else 0.0
         w1 = rng.uniform(0.0, 0.4) if with_noise else 0.0
-        return ModelParams(
-            pi00=pi00, pi01=pi01, pi10=pi10, pi11=pi11, gamma=gamma, w0=w0, w1=w1
-        )
+        return params.with_misclassification(w0, w1)
     raise RuntimeError(f"no valid parameter draw in {MAX_DRAWS} attempts")
 
 

@@ -7,7 +7,7 @@ from carecontracts.cli import _emit_json, main
 from carecontracts.estimation import AssumptionWarning
 from carecontracts.domain import ModelParams, dump_params
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
-from carecontracts.estimation import save_cohort
+from carecontracts.estimation import Cohort, save_cohort
 
 
 @pytest.fixture
@@ -127,6 +127,22 @@ class TestEstimateCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("id,e,t,los,event,z1\np1,1,x,3.0,1,0.2\n")
         assert main(["estimate", "--cohort", str(bad), "--out", str(tmp_path / "o.json")]) == 2
+
+    def test_separated_cohort_exits_1(self, tmp_path, capsys):
+        """A fit failure is a model error, tagged with the stage that raised it."""
+        z = np.random.default_rng(5).normal(size=(200, 2))
+        cohort = Cohort(
+            ids=[f"r{i}" for i in range(200)],
+            e=(z[:, 0] > 0).astype(int),
+            t=np.full(200, 10),
+            los=np.full(200, 5.0),
+            event=np.ones(200, dtype=int),
+            z=z,
+        )
+        path = tmp_path / "separated.csv"
+        save_cohort(cohort, path)
+        assert main(["estimate", "--cohort", str(path), "--out", str(tmp_path / "o.json")]) == 1
+        assert "[fit_propensity]" in capsys.readouterr().err
 
     def test_caliper_and_criterion_flags(self, tmp_path, small_cohort_file, recwarn):
         rates = {}
@@ -248,6 +264,7 @@ _HUGE_INT = b"1" + b"0" * 400
 _ESTIMATE = ["estimate", "--cohort", "{file}", "--out", "{out}"]
 _SOLVE = ["solve", "--model", "nonneg", "--params", "{file}"]
 _SIMULATE = ["simulate", "--params", "{params}", "--n", "1000"]
+_NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
 
 
 @pytest.mark.parametrize(
@@ -277,6 +294,11 @@ _SIMULATE = ["simulate", "--params", "{params}", "--n", "1000"]
             2,
             "{file}",
         ),
+        (_SOLVE, b"", 2, "{file}: Expecting value"),
+        (_SOLVE, _NOT_UTF8, 2, "{file}: 'utf-8' codec"),
+        (_ESTIMATE, b"id,e,t,los,event,z1\n" + _NOT_UTF8, 2, "{file}: not UTF-8 text"),
+        (["verify", "--trials", "0"], None, 2, "--trials must be at least 1"),
+        (["verify", "--trials", "-1"], None, 2, "--trials must be at least 1"),
     ],
     ids=[
         "cohort-header-field-limit",
@@ -288,6 +310,11 @@ _SIMULATE = ["simulate", "--params", "{params}", "--n", "1000"]
         "contract-nan",
         "params-huge-int",
         "contract-huge-int",
+        "params-empty",
+        "params-not-utf8",
+        "cohort-not-utf8",
+        "verify-zero-trials",
+        "verify-negative-trials",
     ],
 )
 def test_bad_input_exit_code(tmp_path, params_file, capsys, argv, content, code, message):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from carecontracts.domain import (
     dump_params,
     expected_payment,
     expected_survival,
+    freeze,
     load_params,
     params_from_dict,
     params_to_dict,
@@ -70,6 +73,23 @@ class TestNormalizedSystem:
         system = build_normalized_system(random_params(seed))
         assert float(system.c0.sum()) == pytest.approx(1.0, abs=1e-12)
         assert np.all(system.c0 > 0)
+
+
+@pytest.mark.parametrize("dtype", [float, int, None])
+def test_freeze_stores_read_only_copies(dtype):
+    @dataclass(frozen=True)
+    class Holder:
+        a: np.ndarray
+        b: np.ndarray
+
+    source = np.array([3, 1, 2])
+    holder = Holder(a=source, b=source)
+    freeze(holder, "a", "b", dtype=dtype)
+    for arr in (holder.a, holder.b):
+        assert arr.dtype == np.dtype(dtype or source.dtype)
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, source)
+    assert source.flags.writeable
 
 
 class TestExpectedSurvival:

@@ -15,6 +15,8 @@ from carecontracts.errors import (
     CollinearCovariatesError,
     EstimationError,
     InsufficientControlsError,
+    MonotoneLikelihoodError,
+    SeparationError,
     StageError,
 )
 from carecontracts.estimation import (
@@ -100,6 +102,11 @@ class TestFitPropensity:
         cohort = make_cohort(np.column_stack([z, 2.0 * z]), (rng.random(200) < 0.5).astype(int))
         with pytest.raises(CollinearCovariatesError):
             fit_propensity(cohort)
+
+    def test_separated_treatment_rejected(self, rng):
+        z = rng.normal(size=(200, 2))
+        with pytest.raises(SeparationError):
+            fit_propensity(make_cohort(z, (z[:, 0] > 0).astype(int)))
 
 
 class TestMatching:
@@ -255,6 +262,13 @@ class TestFitCox:
         cohort = make_cohort(z, 0, t=np.arange(100) % 17 + 1)
         with pytest.raises(CollinearCovariatesError):
             fit_cox(cohort)
+
+    def test_monotone_likelihood_rejected(self, rng):
+        """Death order follows z1 exactly, so the partial likelihood has no finite maximum."""
+        z = rng.normal(size=(200, 2))
+        days = np.argsort(np.argsort(z[:, 0])) + 1
+        with pytest.raises(MonotoneLikelihoodError):
+            fit_cox(make_cohort(z, 0, t=days))
 
     def test_gradient_matches_finite_differences(self, rng):
         cohort = survival_cohort(rng, 300, (0.4, -0.2))
