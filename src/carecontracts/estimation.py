@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 import warnings
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -53,10 +55,17 @@ HISTOGRAM_BINS = 40
 
 # Cohort columns after ``id``, in CSV order, with their dtypes.
 _COLUMNS = {"e": int, "t": int, "los": float, "event": int, "z": float}
-# Rows per ``csv.writer.writerows`` call in ``save_cohort``; bounds the
-# Python objects alive at once.
-_WRITE_CHUNK = 65_536
-_exact = "{:.17g}".format
+# Rows formatted per write in ``save_cohort``; bounds the strings alive at
+# once. 65,536 rows raised the perfbench reproduce peak RSS by 8 %, at the
+# same speed.
+_WRITE_CHUNK = 8_192
+# Characters that make ``csv.QUOTE_MINIMAL`` quote a field.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
+# Characters read per check in ``_load_bulk`` (1 MB blocks cost 4 MB more
+# peak RSS at 400k rows, at the same speed), and the bytes a plain line may
+# hold: printable ASCII but ``"``, and the newline.
+_READ_HINT = 1 << 16
+_PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
 
 class AssumptionWarning(UserWarning):
@@ -124,8 +133,69 @@ def _first_invalid_row(ids, e, t, los, event, z) -> tuple[int, str] | None:
 # --- cohort CSV schema --------------------------------------------------------
 
 
+def _header(p: int) -> list[str]:
+    return ["id", "e", "t", "los", "event", *(f"z{i}" for i in range(1, p + 1))]
+
+
 def load_cohort(path: str | Path) -> Cohort:
-    """Parse a cohort CSV; any malformed field is a hard error with its line."""
+    """Parse a cohort CSV; any malformed field is a hard error with its line.
+
+    numpy parses a plain file in bulk. Any other file, and any file with a
+    fault, goes through the row reader, which alone words the errors.
+    """
+    cohort = _load_bulk(path)
+    return _load_rows(path) if cohort is None else cohort
+
+
+def _load_bulk(path: str | Path) -> Cohort | None:
+    """The cohort in a plain file, or None where the row reader must decide.
+
+    Plain means the exact header, then lines of printable ASCII without
+    ``"``, each with as many fields as the header and none over the csv
+    module's field size limit. Nothing else may reach ``np.loadtxt``: numpy
+    2.4 can crash the process on an integer field that holds a code point
+    above about U+40000, and it skips ``\\x1c`` to ``\\x1f`` as blanks where
+    ``int`` and ``float`` refuse them.
+    """
+    ids: list[str] = []
+
+    def plain_lines(fh, commas: int):
+        while chunk := fh.readlines(_READ_HINT):
+            if (
+                "".join(chunk).encode().translate(None, _PLAIN)
+                or set(map(str.count, chunk, repeat(","))) != {commas}
+                or max(map(len, chunk)) > csv.field_size_limit()
+            ):
+                raise ValueError("not a plain cohort file")
+            ids.extend([line.partition(",")[0] for line in chunk])
+            yield from chunk
+
+    try:
+        # Universal newlines end a line at \r, \n or \r\n, as csv.reader does.
+        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            header = fh.readline().rstrip("\n").split(",")
+            p = len(header) - 5
+            if p < 1 or header != _header(p):
+                return None
+            table = np.loadtxt(
+                plain_lines(fh, len(header) - 1),
+                dtype=[("e", int), ("t", int), ("los", float), ("event", int), ("z", float, (p,))],
+                delimiter=",",
+                comments=None,
+                quotechar=None,
+                usecols=range(1, len(header)),
+                ndmin=1,
+            )
+        if len(table) != len(ids):
+            return None
+        return Cohort(ids=ids, **{name: table[name] for name in _COLUMNS})
+    except Exception:  # every fault is the row reader's to name
+        return None
+
+
+def _load_rows(path: str | Path) -> Cohort:
+    """``load_cohort`` through ``csv.reader``, one row at a time."""
     ids: list[str] = []
     e, t, event = array("q"), array("q"), array("q")
     los, z = array("d"), array("d")
@@ -179,24 +249,31 @@ def load_cohort(path: str | Path) -> Cohort:
         raise CohortFormatError(f"{path}: line {fault[0] + 2}: {fault[1]}") from None
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.QUOTE_MINIMAL`` writes it."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
+
+
 def save_cohort(cohort: Cohort, path: str | Path) -> None:
     """Write ``cohort`` as CSV; floats use ``%.17g`` and so load back exactly."""
     p = cohort.z.shape[1]
+    row = "%s,%d,%d,%.17g,%d" + ",%.17g" * p
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "e", "t", "los", "event"] + [f"z{i}" for i in range(1, p + 1)])
+        fh.write(",".join(_header(p)) + "\r\n")
         for start in range(0, len(cohort), _WRITE_CHUNK):
             rows = slice(start, start + _WRITE_CHUNK)
-            writer.writerows(
-                zip(
-                    cohort.ids[rows],
-                    cohort.e[rows].tolist(),
-                    cohort.t[rows].tolist(),
-                    map(_exact, cohort.los[rows].tolist()),
-                    cohort.event[rows].tolist(),
-                    *(map(_exact, column.tolist()) for column in cohort.z[rows].T),
-                )
+            ids = cohort.ids[rows]
+            if _NEEDS_QUOTES.search("".join(ids)):
+                ids = map(_csv_field, ids)
+            columns = zip(
+                ids,
+                cohort.e[rows].tolist(),
+                cohort.t[rows].tolist(),
+                cohort.los[rows].tolist(),
+                cohort.event[rows].tolist(),
+                *cohort.z[rows].T.tolist(),
             )
+            fh.write("\r\n".join(map(row.__mod__, columns)) + "\r\n")
 
 
 # --- propensity model ---------------------------------------------------------

@@ -29,7 +29,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import ModelParams, dollars, expected_survival, freeze, params_to_dict, survival_summary
+from .domain import ModelParams, dollars, expected_survival, freeze, params_to_dict
 from .errors import EstimationError
 from .estimation import Cohort, PipelineConfig, run_pipeline
 from .simulation import PolicyComparison, comparison_to_dict, compare_policies
@@ -163,14 +163,14 @@ MAX_DRAWS = 10_000
 def sample_model_params(
     rng: np.random.Generator,
     *,
-    require_free_solvable: bool = False,
     with_noise: bool = False,
 ) -> ModelParams:
     """Random parameters satisfying the solver preconditions with margins.
 
-    Draws respect the monotone ordering strictly, keep the benefit margin
-    ``|pi01*pi10 - pi00*pi11|`` above 1e-3, and (optionally) keep the
-    uniform-high survival rate below one so the free-payment family exists.
+    Draws respect the monotone ordering strictly and keep the benefit margin
+    ``|pi01*pi10 - pi00*pi11|`` above 1e-3. The draw ranges alone keep the
+    uniform-high survival rate s1 at most ``max(pi01, pi11) <= 0.97``, so the
+    free-payment family always exists.
     """
     for _ in range(MAX_DRAWS):
         pi00 = rng.uniform(0.05, 0.55)
@@ -181,9 +181,6 @@ def sample_model_params(
         params = ModelParams(pi00=pi00, pi01=pi01, pi10=pi10, pi11=pi11, gamma=gamma)
         if abs(params.distinct_benefit_margin()) <= 1e-3:
             continue
-        if require_free_solvable:
-            if survival_summary(params).s1 >= 0.98 or pi10 - pi00 <= 0.02:
-                continue
         w0 = rng.uniform(0.0, 0.4) if with_noise else 0.0
         w1 = rng.uniform(0.0, 0.4) if with_noise else 0.0
         return params.with_misclassification(w0, w1)

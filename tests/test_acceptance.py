@@ -93,7 +93,7 @@ def test_criterion_3_free_payment_certification():
     rng = np.random.default_rng(3)
     ok = True
     for _ in range(200):
-        params = sample_model_params(rng, require_free_solvable=True)
+        params = sample_model_params(rng)
         p11 = float(rng.uniform(-1.0, 2.0))
         solution = solve_free_payment(params, p11)
         p = solution.contract.as_array()

@@ -263,6 +263,7 @@ _DEEP = b"[" * 100_000 + b"]" * 100_000
 _HUGE_INT = b"1" + b"0" * 400
 _ESTIMATE = ["estimate", "--cohort", "{file}", "--out", "{out}"]
 _SOLVE = ["solve", "--model", "nonneg", "--params", "{file}"]
+_SOLVE_FREE = ["solve", "--model", "free", "--params", "{params}"]
 _SIMULATE = ["simulate", "--params", "{params}", "--n", "1000"]
 _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
 
@@ -299,6 +300,12 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         (_ESTIMATE, b"id,e,t,los,event,z1\n" + _NOT_UTF8, 2, "{file}: not UTF-8 text"),
         (["verify", "--trials", "0"], None, 2, "--trials must be at least 1"),
         (["verify", "--trials", "-1"], None, 2, "--trials must be at least 1"),
+        (_SOLVE_FREE + ["--p11", "nan"], None, 2, "--p11 must be finite, got nan"),
+        (_SOLVE_FREE + ["--p11", "inf"], None, 2, "--p11 must be finite, got inf"),
+        (_SOLVE_FREE + ["--f-dollars", "nan"], None, 2, "--f-dollars must be finite and positive"),
+        (_SOLVE_FREE + ["--f-dollars", "inf"], None, 2, "--f-dollars must be finite and positive"),
+        (_SOLVE_FREE + ["--f-dollars", "-1"], None, 2, "--f-dollars must be finite and positive"),
+        (_SOLVE_FREE + ["--f-dollars", "0"], None, 2, "--f-dollars must be finite and positive"),
     ],
     ids=[
         "cohort-header-field-limit",
@@ -315,6 +322,12 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         "cohort-not-utf8",
         "verify-zero-trials",
         "verify-negative-trials",
+        "p11-nan",
+        "p11-inf",
+        "f-dollars-nan",
+        "f-dollars-inf",
+        "f-dollars-negative",
+        "f-dollars-zero",
     ],
 )
 def test_bad_input_exit_code(tmp_path, params_file, capsys, argv, content, code, message):

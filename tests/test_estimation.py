@@ -1,12 +1,16 @@
 import csv
 import functools
+import io
+import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carecontracts import estimation
@@ -470,6 +474,7 @@ class TestCohortCsv:
         cohort, _ = generate_cohort(spec, 11)
         path = tmp_path / "cohort.csv"
         save_cohort(cohort, path)
+        assert estimation._load_bulk(path) is not None  # a saved file takes the bulk parse
         loaded = load_cohort(path)
         assert loaded.ids == cohort.ids
         for column in ("e", "t", "los", "event", "z"):
@@ -512,11 +517,12 @@ class TestCohortCsv:
             load_cohort(path)
 
     def test_chunked_write_matches_row_by_row_csv(self, tmp_path, rng):
-        """A cohort longer than one write chunk, with ids that need quoting,
-        gives the bytes of a plain row-by-row csv.writer and loads back."""
-        n = estimation._WRITE_CHUNK + 3
+        """A cohort longer than one write chunk, whose last chunk has ids that
+        need quoting, gives the bytes of a plain row-by-row csv.writer and
+        loads back."""
+        n = estimation._WRITE_CHUNK + 4
         cohort = Cohort(
-            ids=tuple(f'p{i},"{i % 7}"' for i in range(n)),
+            ids=tuple(f"p{i}" for i in range(n - 4)) + ("p,1", 'p"2"', "p\r3", "p\n4"),
             e=rng.integers(0, 2, n),
             t=rng.integers(1, 90, n),
             los=rng.exponential(5.0, n) + 0.1,
@@ -546,6 +552,42 @@ class TestCohortCsv:
         with pytest.raises(CohortFormatError, match="line 3"):
             load_cohort(path)
 
+    def test_astral_integer_field_is_a_format_error_every_time(self, tmp_path):
+        """numpy 2.4's loadtxt can crash the process on an integer field that
+        holds a code point above about U+40000, so such a file must never
+        reach it. A child process runs the loads, so that a crash fails this
+        test and not the whole test run."""
+        paths = []
+        for char in ("\U000f0000", "\U000afe5a"):
+            path = tmp_path / f"u{ord(char):x}.csv"
+            path.write_text(f"id,e,t,los,event,z1\np1,1,5,3.0,1,0.2\np2,0,{char},3.0,1,0.2\n")
+            paths.append(str(path))
+        child = (
+            "import sys\n"
+            "from carecontracts.errors import CohortFormatError\n"
+            "from carecontracts.estimation import load_cohort\n"
+            "for path in sys.argv[1:]:\n"
+            "    for _ in range(30):\n"
+            "        try:\n"
+            "            load_cohort(path)\n"
+            "        except CohortFormatError as exc:\n"
+            "            print(exc)\n"
+        )
+        package_root = str(Path(estimation.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", child, *paths],
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            env={**os.environ, "PYTHONPATH": package_root, "PYTHONIOENCODING": "utf-8"},
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        messages = result.stdout.splitlines()
+        assert len(messages) == 60
+        for path, message in zip([p for p in paths for _ in range(30)], messages):
+            assert message.startswith(f"{path}: line 3: invalid literal for int()")
+
 
 @functools.cache
 def _base_rows() -> tuple[tuple[str, ...], ...]:
@@ -557,15 +599,67 @@ def _base_rows() -> tuple[tuple[str, ...], ...]:
             return tuple(tuple(row) for row in csv.reader(fh))
 
 
+def _lines(rows) -> list[str]:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue().split("\n")[:-1]
+
+
+# File layouts of the mutated rows: ``lines`` as csv.writer renders them,
+# and ``row`` the mutated one. The first four keep every row intact.
+_LAYOUTS = {
+    "crlf": lambda lines, row: "\r\n".join(lines) + "\r\n",
+    "lf": lambda lines, row: "\n".join(lines) + "\n",
+    "cr": lambda lines, row: "\r".join(lines) + "\r",
+    "no-final-newline": lambda lines, row: "\r\n".join(lines),
+    "blank-line": lambda lines, row: "\r\n".join([*lines[: row + 1], "", *lines[row + 1 :]]),
+    "extra-field": lambda lines, row: "\r\n".join(
+        [*lines[:row], lines[row] + ",0", *lines[row + 1 :]]
+    ),
+    "missing-field": lambda lines, row: "\r\n".join(
+        [*lines[:row], lines[row].rsplit(",", 1)[0], *lines[row + 1 :]]
+    ),
+    "header-only": lambda lines, row: lines[0] + "\r\n",
+}
+_ROWS_INTACT = ("crlf", "lf", "cr", "no-final-newline")
+
+
+def _outcome(load, path):
+    """What ``load`` makes of ``path``: ids and column bits, or the error text."""
+    try:
+        cohort = load(path)
+    except CohortFormatError as exc:
+        return str(exc)
+    columns = (cohort.e, cohort.t, cohort.los, cohort.event, cohort.z)
+    return cohort.ids, [(c.dtype, c.shape, c.tobytes()) for c in columns]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     row=st.integers(1, 20),
     field=st.integers(0, 7),
     text=st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",))),
+    layout=st.sampled_from(sorted(_LAYOUTS)),
 )
-def test_single_field_mutation_loads_or_names_its_line(row, field, text):
-    """Any one field replaced by single-line text: a clean load, or a
-    CohortFormatError naming that line (for a duplicated id, the later line)."""
+@example(row=4, field=2, text="\u00e9", layout="crlf")
+@example(row=4, field=0, text='p"4', layout="crlf")
+@example(row=4, field=2, text="1_0", layout="crlf")
+@example(row=4, field=2, text=" 1", layout="crlf")
+@example(row=4, field=1, text="+1", layout="crlf")
+@example(row=4, field=2, text="007", layout="crlf")
+@example(row=4, field=5, text="\x1c1", layout="crlf")
+@example(row=4, field=2, text="5", layout="blank-line")
+@example(row=4, field=2, text="5", layout="extra-field")
+@example(row=4, field=2, text="5", layout="missing-field")
+@example(row=4, field=2, text="5", layout="header-only")
+@example(row=20, field=2, text="5", layout="no-final-newline")
+@example(row=4, field=2, text="5", layout="lf")
+@example(row=4, field=2, text="5", layout="cr")
+def test_single_field_mutation_loads_or_names_its_line(row, field, text, layout):
+    """Any one field replaced by single-line text, in any file layout:
+    ``load_cohort`` gives the cohort or the error text of the row reader.
+    With every row intact, that is a clean load or a CohortFormatError
+    naming the mutated line (for a duplicated id, the later line)."""
     rows = [list(r) for r in _base_rows()]
     rows[row][field] = text
     line = row + 1
@@ -574,13 +668,14 @@ def test_single_field_mutation_loads_or_names_its_line(row, field, text):
         line = max([line] + [i + 1 for i in twins])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cohort.csv"
-        _write_rows(path, rows)
-        try:
-            cohort = load_cohort(path)
-        except CohortFormatError as exc:
-            assert f": line {line}:" in str(exc)
+        path.write_bytes(_LAYOUTS[layout](_lines(rows), row).encode())
+        outcome = _outcome(load_cohort, path)
+        assert outcome == _outcome(estimation._load_rows, path)
+    if layout in _ROWS_INTACT:
+        if isinstance(outcome, str):
+            assert f": line {line}:" in outcome
         else:
-            assert len(cohort) == 20
+            assert len(outcome[0]) == 20
 
 
 class TestPipeline:

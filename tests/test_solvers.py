@@ -35,7 +35,7 @@ from carecontracts.synthetic import sample_model_params
 
 
 def solvable_params(seed: int) -> ModelParams:
-    return sample_model_params(np.random.default_rng(seed), require_free_solvable=True)
+    return sample_model_params(np.random.default_rng(seed))
 
 
 class TestBindingSolvability:
@@ -357,7 +357,7 @@ class TestCertify:
 
     def test_every_claim_holds_on_random_draws(self, rng):
         for i in range(50):
-            params = sample_model_params(rng, require_free_solvable=True, with_noise=True)
+            params = sample_model_params(rng, with_noise=True)
             verdicts = certify(params, self.TRANSFORMS[i % 2])
             assert verdicts == dict.fromkeys(CERTIFIED_CLAIMS, True)
 
@@ -386,7 +386,7 @@ class TestCertify:
 
         monkeypatch.setattr(solvers, closed_form, perturbed)
         params = sample_model_params(
-            np.random.default_rng(5), require_free_solvable=True, with_noise=True
+            np.random.default_rng(5), with_noise=True
         )
         verdicts = certify(params, transform)
         assert verdicts == {name: name != claim for name in CERTIFIED_CLAIMS}
