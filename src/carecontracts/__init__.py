@@ -5,67 +5,4 @@ brute-force LP oracle that certifies them, parameter estimation from
 patient-level survival data, and a Monte Carlo policy simulator.
 """
 
-from .domain import (
-    AssignmentRule,
-    Contract,
-    ModelParams,
-    NormalizedSystem,
-    SurvivalSummary,
-    build_normalized_system,
-    expected_payment,
-    expected_survival,
-    load_params,
-    payer_utility,
-    provider_expected_payment,
-    provider_utility,
-    survival_summary,
-)
-from .solvers import (
-    FreePaymentSolution,
-    MisclassifiedSolution,
-    NonNegativeSolution,
-    RiskAverseSolution,
-    UtilityTransform,
-    check_binding_solvability,
-    solve_free_payment,
-    solve_non_negative,
-    solve_non_negative_misclassified,
-    solve_risk_averse,
-    verify_contract,
-)
-from .simulation import Policy, PolicyComparison, PolicyReport, compare_policies, simulate_policy
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssignmentRule",
-    "Contract",
-    "ModelParams",
-    "NormalizedSystem",
-    "SurvivalSummary",
-    "build_normalized_system",
-    "expected_payment",
-    "expected_survival",
-    "load_params",
-    "payer_utility",
-    "provider_expected_payment",
-    "provider_utility",
-    "survival_summary",
-    "FreePaymentSolution",
-    "MisclassifiedSolution",
-    "NonNegativeSolution",
-    "RiskAverseSolution",
-    "UtilityTransform",
-    "check_binding_solvability",
-    "solve_free_payment",
-    "solve_non_negative",
-    "solve_non_negative_misclassified",
-    "solve_risk_averse",
-    "verify_contract",
-    "Policy",
-    "PolicyComparison",
-    "PolicyReport",
-    "compare_policies",
-    "simulate_policy",
-    "__version__",
-]

@@ -126,7 +126,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    cohort = estimation.load_cohort(args.cohort)
     caliper = None if args.caliper in (None, "none") else float(args.caliper)
     config = estimation.PipelineConfig(
         cutoff=args.cutoff,
@@ -134,9 +133,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
         criterion=args.criterion,
         orientation=args.orientation,
     )
-    result = estimation.run_pipeline(cohort, config)
-
     out = Path(args.out)
+    if not out.parent.is_dir():
+        raise ValueError(f"--out directory {out.parent} does not exist")
+    result = estimation.run_pipeline(estimation.load_cohort(args.cohort), config)
+
     dump_params(result.params, out)
     diag_path = out.with_name(out.stem + ".diagnostics.json")
     _emit_json(asdict(result.diagnostics), diag_path)
@@ -209,6 +210,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
+    if args.sim_n < 2:
+        raise ValueError(f"--sim-n must be at least 2, got {args.sim_n}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     spec = synthetic.SyntheticCohortSpec(n=args.n)
@@ -220,10 +225,10 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         cohort, _ = synthetic.generate_cohort(spec, args.fixture_seed)
         estimation.save_cohort(cohort, fixture_path)
 
-    estimated, comparison, report = synthetic.reproduce_case_study(
+    result, comparison, report = synthetic.reproduce_case_study(
         cohort, spec, args.sim_n, args.seed
     )
-    dump_params(estimated, outdir / "params.json")
+    dump_params(result.params, outdir / "params.json")
     simulation.export_report_csv(list(comparison.reports), outdir / "policy_comparison.csv")
     report["fixture"] = str(fixture_path)
     report["fixture_seed"] = None if args.fixture else args.fixture_seed
@@ -237,6 +242,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             f"  expected={v['expected']:.6g}  tol={v['tolerance']:g}"
         )
     print(f"report bundle -> {outdir / 'report.json'}")
+    for warning in result.diagnostics.assumption_warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     return 0 if report["all_passed"] else 1
 
 
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="death-before-discharge",
         help="death-before-discharge or death-within:<days>",
     )
-    estimate.add_argument("--orientation", choices=["survival", "mortality"], default="survival")
+    estimate.add_argument("--orientation", choices=estimation.ORIENTATIONS, default="survival")
     estimate.add_argument("--out", required=True, help="output parameter JSON path")
     estimate.set_defaults(handler=_cmd_estimate)
 

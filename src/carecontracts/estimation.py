@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 import re
 import warnings
 from array import array
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import eq
 from pathlib import Path
 from typing import Callable
 
@@ -51,6 +53,7 @@ MAX_ITER = 100
 SEPARATION_BAND = 1e-12
 DIVERGENT_BETA = 50.0
 HISTOGRAM_BINS = 40
+ORIENTATIONS = ("survival", "mortality")
 
 
 # Cohort columns after ``id``, in CSV order, with their dtypes.
@@ -66,10 +69,6 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # hold: printable ASCII but ``"``, and the newline.
 _READ_HINT = 1 << 16
 _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
-
-
-class AssumptionWarning(UserWarning):
-    """Estimated rates violate a solver precondition; solvers may reject them."""
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,9 @@ def _first_invalid_row(ids, e, t, los, event, z) -> tuple[int, str] | None:
     if z.ndim != 2 or any(len(column) != n for column in (e, t, los, event, z)):
         raise EstimationError(f"cohort columns must have one entry per id ({n}) and z must be 2-D")
     repeated = np.zeros(n, dtype=bool)
-    if len(set(ids)) < n:
+    # Sorted neighbours, not a set: a set of 400k ids was the RSS peak of estimate.
+    ordered = sorted(ids)
+    if any(map(eq, ordered, islice(ordered, 1, None))):
         first = dict(zip(reversed(ids), range(n - 1, -1, -1)))  # id -> its first row
         repeated[:] = True
         repeated[list(first.values())] = False
@@ -205,13 +206,12 @@ def _load_rows(path: str | Path) -> Cohort:
             header = next(reader, None)
             if header is None:
                 raise CohortFormatError(f"{path}: empty file")
-            fixed = ["id", "e", "t", "los", "event"]
-            if header[: len(fixed)] != fixed or len(header) == len(fixed):
+            p = len(header) - 5
+            if header[:5] != _header(0) or p < 1:
                 raise CohortFormatError(
                     f"{path}: line 1: header must be id,e,t,los,event,z1..zp, got {','.join(header)}"
                 )
-            p = len(header) - len(fixed)
-            if header[len(fixed) :] != [f"z{i}" for i in range(1, p + 1)]:
+            if header != _header(p):
                 raise CohortFormatError(f"{path}: line 1: covariate columns must be z1..z{p}")
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(header):
@@ -285,12 +285,11 @@ class PropensityModel:
 
     coefficients: np.ndarray
     scores: np.ndarray
-    standard_errors: np.ndarray
     iterations: int
     score_norm: float
 
     def __post_init__(self) -> None:
-        freeze(self, "coefficients", "scores", "standard_errors")
+        freeze(self, "coefficients", "scores")
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -325,22 +324,18 @@ def fit_propensity(cohort: Cohort) -> PropensityModel:
         score_norm = float(np.max(np.abs(score)))
         weights = prob * (1.0 - prob)
         info = (x.T * weights) @ x / n
-        if score_norm <= SCORE_TOL:
-            try:
-                covariance = np.linalg.inv(info) / n
-            except np.linalg.LinAlgError as exc:
-                raise CollinearCovariatesError(str(exc)) from exc
-            return PropensityModel(
-                coefficients=beta,
-                scores=prob,
-                standard_errors=np.sqrt(np.diag(covariance)),
-                iterations=iteration - 1,
-                score_norm=score_norm,
-            )
+        # Solved before the convergence test: the returned iterate meets the singularity rule too.
         try:
             step = solve_linear_system(info, score / n, pivot_tol=1e-10)
         except SingularMatrixError as exc:
             raise CollinearCovariatesError(f"covariates are collinear: {exc}") from exc
+        if score_norm <= SCORE_TOL:
+            return PropensityModel(
+                coefficients=beta,
+                scores=prob,
+                iterations=iteration - 1,
+                score_norm=score_norm,
+            )
         beta = beta + step
     raise ConvergenceError(f"IRLS did not converge in {MAX_ITER} iterations")
 
@@ -577,13 +572,11 @@ class ResponseScoreTable:
     """Per-patient treatment-response scores and responder classes.
 
     A patient is a good responder when the score strictly exceeds the
-    cutoff.
+    ``response_scores`` cutoff.
     """
 
-    ids: tuple[str, ...]
     scores: np.ndarray
     classes: np.ndarray
-    cutoff: float
 
     def __post_init__(self) -> None:
         freeze(self, "scores", "classes", dtype=None)
@@ -608,10 +601,8 @@ def response_scores(
         )
     scores = z @ (fit1.beta - fit0.beta)
     return ResponseScoreTable(
-        ids=cohort.ids,
         scores=scores,
         classes=(scores > cutoff).astype(int),
-        cutoff=float(cutoff),
     )
 
 
@@ -629,32 +620,36 @@ def death_within(days: float) -> OutcomeCriterion:
     def criterion(cohort: Cohort) -> np.ndarray:
         return ((cohort.event == 1) & (cohort.t <= days)).astype(int)
 
-    criterion.__name__ = f"death_within_{days:g}"
     return criterion
 
 
 def criterion_from_name(name: str) -> OutcomeCriterion:
+    """``death-before-discharge``, or ``death-within:<days>`` with finite positive days."""
     if name == "death-before-discharge":
         return death_before_discharge
-    if name.startswith("death-within:"):
-        return death_within(float(name.split(":", 1)[1]))
-    raise EstimationError(f"unknown outcome criterion {name!r}")
+    days = name.removeprefix("death-within:")
+    try:
+        if days != name and 0 < float(days) < math.inf:
+            return death_within(float(days))
+    except ValueError:
+        pass
+    raise ValueError(
+        "criterion must be death-before-discharge or death-within:<days> with finite"
+        f" positive days, got {name!r}"
+    )
 
 
 @dataclass(frozen=True)
 class OutcomeRateTable:
     """Cell rates by (responder class, expenditure) plus the class share.
 
-    ``raw_rate`` is the criterion (death) frequency per cell; ``pi_hat``
-    carries the rate in the requested orientation. Empty cells keep rate
-    None and are flagged.
+    ``pi_hat`` carries the criterion (death) frequency per cell in the
+    requested orientation. Empty cells keep rate None and are logged.
     """
 
     counts: dict[tuple[int, int], int]
-    raw_rate: dict[tuple[int, int], float | None]
     pi_hat: dict[tuple[int, int], float | None]
     gamma_hat: float
-    empty_cells: tuple[tuple[int, int], ...]
 
     def to_model_params(self) -> ModelParams:
         values = {}
@@ -684,12 +679,11 @@ def outcome_rates(
     The criterion counts deaths; ``orientation="survival"`` reports the
     complement so the rates line up with survival probabilities.
     """
-    if orientation not in ("survival", "mortality"):
+    if orientation not in ORIENTATIONS:
         raise EstimationError(f"orientation must be survival or mortality, got {orientation!r}")
     if len(table.classes) != len(cohort):
         raise EstimationError("score table and cohort are misaligned")
     counts: dict[tuple[int, int], int] = {}
-    raw: dict[tuple[int, int], float | None] = {}
     oriented: dict[tuple[int, int], float | None] = {}
     empty: list[tuple[int, int]] = []
     flags = criterion(cohort).astype(float)
@@ -699,21 +693,17 @@ def outcome_rates(
             count = int(mask.sum())
             counts[(r_class, e)] = count
             if count == 0:
-                raw[(r_class, e)] = None
                 oriented[(r_class, e)] = None
                 empty.append((r_class, e))
                 continue
             rate = float(flags[mask].mean())
-            raw[(r_class, e)] = rate
             oriented[(r_class, e)] = 1.0 - rate if orientation == "survival" else rate
     if empty:
         log.warning("empty outcome cells: %s", empty)
     return OutcomeRateTable(
         counts=counts,
-        raw_rate=raw,
         pi_hat=oriented,
         gamma_hat=float(np.mean(table.classes)),
-        empty_cells=tuple(empty),
     )
 
 
@@ -722,10 +712,22 @@ def outcome_rates(
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Pipeline settings, checked here so that a bad one fails before any work."""
+
     cutoff: float = 0.0
     caliper: float | None = None
     criterion: str = "death-before-discharge"
     orientation: str = "survival"
+    outcome: OutcomeCriterion = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.caliper is not None and not 0 <= self.caliper < math.inf:
+            raise ValueError(f"caliper must be finite and at least 0, got {self.caliper}")
+        if not math.isfinite(self.cutoff):
+            raise ValueError(f"cutoff must be finite, got {self.cutoff}")
+        if self.orientation not in ORIENTATIONS:
+            raise ValueError(f"orientation must be survival or mortality, got {self.orientation!r}")
+        object.__setattr__(self, "outcome", criterion_from_name(self.criterion))
 
 
 @dataclass(frozen=True)
@@ -747,8 +749,6 @@ class PipelineDiagnostics:
 @dataclass(frozen=True)
 class PipelineResult:
     params: ModelParams
-    rates: OutcomeRateTable
-    score_table: ResponseScoreTable
     diagnostics: PipelineDiagnostics
 
 
@@ -756,8 +756,6 @@ def _stage(name: str, func, *args, **kwargs):
     try:
         return func(*args, **kwargs)
     except EstimationError as exc:
-        if isinstance(exc, StageError):
-            raise
         raise StageError(name, exc) from exc
 
 
@@ -785,7 +783,7 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
         outcome_rates,
         table,
         matched,
-        criterion_from_name(config.criterion),
+        config.outcome,
         orientation=config.orientation,
     )
     params = _stage("parameter_mapping", rates.to_model_params)
@@ -793,8 +791,6 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
     notes = [f"ordering violated: {v}" for v in params.ordering_violations()]
     if abs(params.distinct_benefit_margin()) <= 1e-6:
         notes.append("pi01*pi10 is within 1e-6 of pi00*pi11 (degenerate benefit margin)")
-    for note in notes:
-        warnings.warn(note, AssumptionWarning, stacklevel=2)
 
     scores = table.scores
     hist_counts, hist_edges = np.histogram(scores, bins=HISTOGRAM_BINS)
@@ -825,4 +821,4 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
         cell_counts={f"r{r}e{e}": rates.counts[(r, e)] for r in (0, 1) for e in (0, 1)},
         assumption_warnings=tuple(notes),
     )
-    return PipelineResult(params=params, rates=rates, score_table=table, diagnostics=diagnostics)
+    return PipelineResult(params=params, diagnostics=diagnostics)

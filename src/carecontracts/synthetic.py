@@ -31,7 +31,7 @@ import numpy as np
 
 from .domain import ModelParams, dollars, expected_survival, freeze, params_to_dict
 from .errors import EstimationError
-from .estimation import Cohort, PipelineConfig, run_pipeline
+from .estimation import Cohort, PipelineConfig, PipelineResult, run_pipeline
 from .simulation import PolicyComparison, comparison_to_dict, compare_policies
 from .solvers import solve_non_negative
 
@@ -80,7 +80,6 @@ class SyntheticCohortSpec:
 class SyntheticTruth:
     """Everything the generator decided, for use as a test oracle."""
 
-    spec: SyntheticCohortSpec
     true_classes: np.ndarray
     n_treated: int
 
@@ -148,7 +147,6 @@ def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, Synth
         z=z,
     )
     truth = SyntheticTruth(
-        spec=spec,
         true_classes=good.astype(int),
         n_treated=int(treated.sum()),
     )
@@ -202,15 +200,16 @@ def _verdict(name: str, obtained: float, expected: float, tol: float) -> dict:
 
 def reproduce_case_study(
     cohort: Cohort, spec: SyntheticCohortSpec, sim_n: int, seed: int
-) -> tuple[ModelParams, PolicyComparison, dict]:
+) -> tuple[PipelineResult, PolicyComparison, dict]:
     """Estimate, solve and simulate the case study on ``cohort``.
 
-    Returns the estimated parameters, the policy comparison on ``sim_n``
+    Returns the estimation result, the policy comparison on ``sim_n``
     draws from ``seed``, and the report: obtained-vs-expected verdicts
     against the planted truth of ``spec`` and the published figures, and
     the published simulation figures side by side with the simulated ones.
     """
-    estimated = run_pipeline(cohort, PipelineConfig()).params
+    result = run_pipeline(cohort, PipelineConfig())
+    estimated = result.params
     planted = spec.planted_params()
     verdicts = [
         _verdict(name, getattr(estimated, name), getattr(planted, name), 0.02)
@@ -303,4 +302,4 @@ def reproduce_case_study(
         "verdicts": verdicts,
         "all_passed": all(v["passed"] for v in verdicts),
     }
-    return estimated, comparison, report
+    return result, comparison, report

@@ -1,10 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from carecontracts.cli import _emit_json, main
-from carecontracts.estimation import AssumptionWarning
 from carecontracts.domain import ModelParams, dump_params
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
 from carecontracts.estimation import Cohort, save_cohort
@@ -144,7 +147,7 @@ class TestEstimateCommand:
         assert main(["estimate", "--cohort", str(path), "--out", str(tmp_path / "o.json")]) == 1
         assert "[fit_propensity]" in capsys.readouterr().err
 
-    def test_caliper_and_criterion_flags(self, tmp_path, small_cohort_file, recwarn):
+    def test_caliper_and_criterion_flags(self, tmp_path, small_cohort_file, capsys):
         rates = {}
         for orientation in ("mortality", "survival"):
             out = tmp_path / f"est_{orientation}.json"
@@ -167,11 +170,32 @@ class TestEstimateCommand:
             rates[orientation] = json.loads(out.read_text())["pi"]
         # mortality-oriented rates invert the survival ordering, which the
         # pipeline flags for downstream solvers
-        assert any(w.category is AssumptionWarning for w in recwarn.list)
+        assert "warning: ordering violated" in capsys.readouterr().err
         for cell in ("00", "01", "10", "11"):
             assert rates["survival"][cell] == pytest.approx(
                 1.0 - rates["mortality"][cell], abs=1e-12
             )
+
+    def test_each_assumption_note_printed_once(self, tmp_path):
+        """Notes reach stderr once each, as ``warning:`` lines, and never as
+        Python warnings."""
+        cohort, _ = generate_cohort(SyntheticCohortSpec(n=3000, treated_fraction=0.25), 8)
+        save_cohort(cohort, tmp_path / "cohort.csv")
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        argv = ["estimate", "--cohort", "cohort.csv", "--out", "p.json"]
+        run = subprocess.run(
+            [sys.executable, "-m", "carecontracts.cli", *argv, "--orientation", "mortality"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        notes = json.loads((tmp_path / "p.diagnostics.json").read_text())["assumption_warnings"]
+        assert notes
+        assert run.stderr.splitlines() == [f"warning: {note}" for note in notes]
+        assert "AssumptionWarning" not in run.stderr
 
 
 class TestSimulateCommand:
@@ -306,6 +330,24 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         (_SOLVE_FREE + ["--f-dollars", "inf"], None, 2, "--f-dollars must be finite and positive"),
         (_SOLVE_FREE + ["--f-dollars", "-1"], None, 2, "--f-dollars must be finite and positive"),
         (_SOLVE_FREE + ["--f-dollars", "0"], None, 2, "--f-dollars must be finite and positive"),
+        (_ESTIMATE + ["--caliper", "nan"], None, 2, "caliper must be finite and at least 0"),
+        (_ESTIMATE + ["--caliper", "-1"], None, 2, "caliper must be finite and at least 0"),
+        (_ESTIMATE + ["--cutoff", "inf"], None, 2, "cutoff must be finite, got inf"),
+        (
+            _ESTIMATE + ["--criterion", "death-within:-5"],
+            None,
+            2,
+            "criterion must be death-before-discharge or death-within:<days> with finite"
+            " positive days, got 'death-within:-5'",
+        ),
+        (["reproduce", "--out", "{out}", "--n", "0"], None, 2, "--n must be at least 1, got 0"),
+        (["reproduce", "--out", "{out}", "--sim-n", "1"], None, 2, "--sim-n must be at least 2"),
+        (
+            ["estimate", "--cohort", "{file}", "--out", "{file}/p.json"],
+            None,
+            2,
+            "--out directory {file} does not exist",
+        ),
     ],
     ids=[
         "cohort-header-field-limit",
@@ -328,11 +370,18 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         "f-dollars-inf",
         "f-dollars-negative",
         "f-dollars-zero",
+        "caliper-nan",
+        "caliper-negative",
+        "cutoff-inf",
+        "criterion-negative-days",
+        "reproduce-zero-n",
+        "reproduce-one-sim-n",
+        "out-directory-missing",
     ],
 )
-def test_bad_input_exit_code(tmp_path, params_file, capsys, argv, content, code, message):
+def test_bad_input_exit_code(tmp_path, params_file, capsys, recwarn, argv, content, code, message):
     """Bad input ends in its exit code and a message on stderr, never in a
-    traceback or a report."""
+    traceback, a Python warning, a report or an output file."""
     path = tmp_path / "input"
     if content is not None:
         path.write_bytes(content)
@@ -341,6 +390,8 @@ def test_bad_input_exit_code(tmp_path, params_file, capsys, argv, content, code,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message.format(**fill) in captured.err
+    assert not recwarn.list
+    assert not (tmp_path / "out.json").exists()
 
 
 class TestVerifyCommand:

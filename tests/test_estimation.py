@@ -24,7 +24,6 @@ from carecontracts.errors import (
     StageError,
 )
 from carecontracts.estimation import (
-    AssumptionWarning,
     Cohort,
     cox_partial_likelihood,
     criterion_from_name,
@@ -93,7 +92,10 @@ class TestFitPropensity:
     def test_null_model_slopes_near_zero(self, rng):
         cohort, _, _ = logistic_cohort(rng, 4000, [0.0, 0.0, 0.0])
         model = fit_propensity(cohort)
-        for slope, se in zip(model.coefficients[1:], model.standard_errors[1:]):
+        x = np.column_stack([np.ones(len(cohort)), cohort.z])
+        weights = model.scores * (1.0 - model.scores)
+        standard_errors = np.sqrt(np.diag(np.linalg.inv((x.T * weights) @ x)))
+        for slope, se in zip(model.coefficients[1:], standard_errors[1:]):
             assert abs(slope) <= 3 * se
 
     def test_all_treated_rejected(self, rng):
@@ -344,10 +346,7 @@ class TestOutcomeRates:
         spec = SyntheticCohortSpec(n=100_000, treated_fraction=0.5)
         cohort, truth = generate_cohort(spec, 7)
         table = estimation.ResponseScoreTable(
-            ids=cohort.ids,
-            scores=truth.true_classes.astype(float) - 0.5,
-            classes=truth.true_classes,
-            cutoff=0.0,
+            scores=truth.true_classes.astype(float) - 0.5, classes=truth.true_classes
         )
         rates = outcome_rates(table, cohort, death_before_discharge)
         for (r, e), expected in {
@@ -364,24 +363,19 @@ class TestOutcomeRates:
         spec = SyntheticCohortSpec(n=2000, treated_fraction=0.5)
         cohort, truth = generate_cohort(spec, 3)
         table = estimation.ResponseScoreTable(
-            ids=cohort.ids,
-            scores=truth.true_classes.astype(float) - 0.5,
-            classes=truth.true_classes,
-            cutoff=0.0,
+            scores=truth.true_classes.astype(float) - 0.5, classes=truth.true_classes
         )
         survival = outcome_rates(table, cohort, death_before_discharge, orientation="survival")
         mortality = outcome_rates(table, cohort, death_before_discharge, orientation="mortality")
         for cell in survival.pi_hat:
             assert survival.pi_hat[cell] == pytest.approx(1 - mortality.pi_hat[cell], abs=1e-12)
-            assert survival.raw_rate[cell] == mortality.pi_hat[cell]
 
-    def test_empty_cell_flagged(self):
+    def test_empty_cell_flagged(self, caplog):
         cohort = make_cohort(np.zeros((2, 1)), 1, t=[3, 9], los=[10.0, 2.0])
-        table = estimation.ResponseScoreTable(
-            ids=("r0", "r1"), scores=np.array([1.0, 1.0]), classes=np.array([1, 1]), cutoff=0.0
-        )
-        rates = outcome_rates(table, cohort)
-        assert (0, 0) in rates.empty_cells
+        table = estimation.ResponseScoreTable(scores=np.array([1.0, 1.0]), classes=np.array([1, 1]))
+        with caplog.at_level("WARNING", logger=estimation.__name__):
+            rates = outcome_rates(table, cohort)
+        assert "empty outcome cells: [(0, 0), (0, 1), (1, 0)]" in caplog.text
         assert rates.pi_hat[(0, 0)] is None
         assert rates.counts[(0, 0)] == 0
         with pytest.raises(EstimationError):
@@ -391,10 +385,7 @@ class TestOutcomeRates:
         spec = SyntheticCohortSpec(n=1000, treated_fraction=0.5)
         cohort, truth = generate_cohort(spec, 5)
         table = estimation.ResponseScoreTable(
-            ids=cohort.ids,
-            scores=truth.true_classes.astype(float) - 0.5,
-            classes=truth.true_classes,
-            cutoff=0.0,
+            scores=truth.true_classes.astype(float) - 0.5, classes=truth.true_classes
         )
         rates = outcome_rates(table, cohort)
         share_bad = float(np.mean(table.classes == 0))
@@ -405,8 +396,9 @@ class TestOutcomeRates:
         assert criterion_from_name("death-before-discharge")(cohort).tolist() == [1]
         assert criterion_from_name("death-within:9")(cohort).tolist() == [0]
         assert criterion_from_name("death-within:10")(cohort).tolist() == [1]
-        with pytest.raises(EstimationError):
-            criterion_from_name("readmission")
+        for bad in ("readmission", "death-within:-5", "death-within:nan", "death-within:x"):
+            with pytest.raises(ValueError, match="criterion must be"):
+                criterion_from_name(bad)
 
 
 class TestCohort:
@@ -704,14 +696,23 @@ class TestPipeline:
             run_pipeline(make_cohort(np.empty((0, 3)), 0))
         assert excinfo.value.stage == "fit_propensity"
 
+    def test_collinear_cohort_fails_at_propensity_fit(self):
+        """A balanced score makes the fit converge at iteration 0; the equal
+        covariates must still be caught there, not in a later stage."""
+        z1 = np.tile(np.arange(1.0, 7.0), 2)
+        cohort = make_cohort(np.column_stack([z1, z1]), np.repeat([1, 0], 6), t=np.arange(1, 13))
+        with pytest.raises(StageError) as excinfo:
+            run_pipeline(cohort)
+        assert excinfo.value.stage == "fit_propensity"
+        assert isinstance(excinfo.value.cause, CollinearCovariatesError)
+
     def test_deterministic(self, rng):
         spec = SyntheticCohortSpec(n=4000, treated_fraction=0.3)
         cohort, _ = generate_cohort(spec, 21)
         a = run_pipeline(cohort)
         b = run_pipeline(cohort)
         assert a.params == b.params
-        assert a.rates.counts == b.rates.counts
-        assert np.array_equal(a.score_table.scores, b.score_table.scores)
+        assert a.diagnostics == b.diagnostics
 
     def test_assumption_violation_warns_but_succeeds(self):
         # plant an ordering violation: treating good responders hurts them
@@ -719,9 +720,10 @@ class TestPipeline:
             n=20_000, treated_fraction=0.5, pi10=0.85, pi11=0.55, gamma=0.5
         )
         cohort, _ = generate_cohort(spec, 31)
-        with pytest.warns(AssumptionWarning):
-            result = run_pipeline(cohort)
-        assert result.diagnostics.assumption_warnings
+        result = run_pipeline(cohort)
+        assert any(
+            note.startswith("ordering violated") for note in result.diagnostics.assumption_warnings
+        )
 
     def test_histogram_export_shape(self, bundled_pipeline):
         _, _, result = bundled_pipeline
