@@ -126,10 +126,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    caliper = None if args.caliper in (None, "none") else float(args.caliper)
     config = estimation.PipelineConfig(
         cutoff=args.cutoff,
-        caliper=caliper,
+        caliper=args.caliper,
         criterion=args.criterion,
         orientation=args.orientation,
     )
@@ -145,9 +144,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
     hist = result.diagnostics.histogram
     with open(scores_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("bin_left,bin_right,count\n")
-        edges, counts = hist["bin_edges"], hist["counts"]
-        for i, count in enumerate(counts):
-            fh.write(f"{edges[i]:.17g},{edges[i + 1]:.17g},{count}\n")
+        for left, right, count in zip(hist["bin_edges"], hist["bin_edges"][1:], hist["counts"]):
+            fh.write(f"{left:.17g},{right:.17g},{count}\n")
 
     print(f"estimated parameters -> {out}")
     print(f"diagnostics -> {diag_path}")
@@ -250,6 +248,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
+def _caliper(text: str) -> float | None:
+    try:
+        return None if text == "none" else float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carecontracts",
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     estimate = subparsers.add_parser("estimate", help="estimate parameters from a cohort CSV")
     estimate.add_argument("--cohort", required=True)
     estimate.add_argument("--cutoff", type=float, default=0.0)
-    estimate.add_argument("--caliper", default="none", help="matching caliper, or 'none'")
+    estimate.add_argument("--caliper", type=_caliper, default="none", help="matching caliper or 'none'")
     estimate.add_argument(
         "--criterion",
         default="death-before-discharge",

@@ -105,10 +105,7 @@ class ModelParams:
 
     def pi(self, s: int, e: int) -> float:
         """Survival probability for responder status ``s`` and expenditure ``e``."""
-        return (
-            (self.pi00, self.pi01),
-            (self.pi10, self.pi11),
-        )[s][e]
+        return ((self.pi00, self.pi01), (self.pi10, self.pi11))[s][e]
 
     def ordering_violations(self) -> list[str]:
         """Failed inequalities of the monotone outcome ordering, if any.

@@ -652,19 +652,11 @@ class OutcomeRateTable:
     gamma_hat: float
 
     def to_model_params(self) -> ModelParams:
-        values = {}
-        for cell in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            rate = self.pi_hat[cell]
-            if rate is None:
+        cells = ((0, 0), (0, 1), (1, 0), (1, 1))
+        for cell in cells:
+            if self.pi_hat[cell] is None:
                 raise EstimationError(f"cell {cell} is empty, outcome rate undefined")
-            values[cell] = rate
-        return ModelParams(
-            pi00=values[(0, 0)],
-            pi01=values[(0, 1)],
-            pi10=values[(1, 0)],
-            pi11=values[(1, 1)],
-            gamma=self.gamma_hat,
-        )
+        return ModelParams(*(self.pi_hat[cell] for cell in cells), gamma=self.gamma_hat)
 
 
 def outcome_rates(
@@ -779,12 +771,7 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
     fit1 = _stage("fit_cox_treated", fit_cox, treated_arm)
     table = _stage("response_scores", response_scores, fit0, fit1, matched, cutoff=config.cutoff)
     rates = _stage(
-        "outcome_rates",
-        outcome_rates,
-        table,
-        matched,
-        config.outcome,
-        orientation=config.orientation,
+        "outcome_rates", outcome_rates, table, matched, config.outcome, orientation=config.orientation
     )
     params = _stage("parameter_mapping", rates.to_model_params)
 

@@ -24,39 +24,58 @@ DEDUP_RESOLUTION = 1e-10
 MAX_VARIABLES = 12
 
 
-def solve_linear_system(matrix, rhs, *, pivot_tol: float = 1e-12) -> np.ndarray:
-    """Solve a square system by Gaussian elimination with partial pivoting.
+def solve_linear_systems(matrices, rhs, *, pivot_tol: float = 1e-12):
+    """Solve a stack of square systems by Gaussian elimination with partial pivoting.
 
-    Raises SingularMatrixError when the best available pivot falls below
-    ``pivot_tol``. The returned solution satisfies
-    ``|Ax - b|_inf <= 1e-9 * (1 + |b|_inf)``; a violation raises.
+    Takes (k, m, m) matrices and (k, m) right-hand sides; returns the (k, m)
+    solutions and the mask of nonsingular systems. A system whose best pivot
+    is at most ``pivot_tol`` in absolute value is singular: it becomes [I | 0]
+    and solves to zero, leaving the others alone and raising no numpy warning.
+    Any other solution off ``|Ax - b|_inf <= 1e-9 (1 + |b|_inf)`` raises NumericalError.
     """
-    a = np.array(matrix, dtype=float)
+    a = np.array(matrices, dtype=float)
     b = np.array(rhs, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise ValueError(f"need square matrix and matching rhs, got {a.shape} and {b.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2]:
+        raise ValueError(f"need square matrices and matching rhs, got {a.shape} and {b.shape}")
+    aug = np.concatenate([a, b[:, :, None]], axis=2)
+    if not np.isfinite(aug).all():
         raise ValueError("non-finite entries in linear system")
 
-    aug = np.hstack([a, b[:, None]])
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[pivot_row, col]
-        if abs(pivot) <= pivot_tol:
-            raise SingularMatrixError(f"pivot {pivot:.3e} below tolerance {pivot_tol:.1e}")
-        if pivot_row != col:
-            aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        aug[col + 1 :] -= np.outer(aug[col + 1 :, col] / aug[col, col], aug[col])
+    k, m = b.shape
+    members = np.arange(k)
+    nonsingular = np.ones(k, dtype=bool)
+    for col in range(m):
+        pivot_row = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
+        singular = np.abs(aug[members, pivot_row, col]) <= pivot_tol
+        nonsingular &= ~singular
+        aug[singular] = np.eye(m, m + 1)
+        pivot_row[singular] = col
+        aug[members, col], aug[members, pivot_row] = aug[members, pivot_row], aug[members, col]
+        factors = aug[:, col + 1 :, col] / aug[:, col, col, None]
+        aug[:, col + 1 :] -= factors[:, :, None] * aug[:, col, None, :]
 
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (aug[row, -1] - aug[row, row + 1 : n] @ x[row + 1 :]) / aug[row, row]
+    # Back-substitution through a stacked matmul: it reproduces the 1-D `@` bit for bit,
+    # where einsum or a sum over products do not (DECISIONS.md).
+    x = np.zeros((k, m))
+    for row in range(m - 1, -1, -1):
+        done = np.matmul(aug[:, row, None, row + 1 :m], x[:, row + 1 :, None])[:, 0, 0]
+        x[:, row] = (aug[:, row, m] - done) / aug[:, row, row]
 
-    residual = float(np.max(np.abs(a @ x - b)))
-    if residual > 1e-9 * (1.0 + float(np.max(np.abs(b)))):
-        raise NumericalError(f"linear solve residual {residual:.3e} out of envelope")
-    return x
+    residual = np.max(np.abs(np.matmul(a, x[:, :, None])[:, :, 0] - b), axis=1, initial=0.0)
+    envelope = 1e-9 * (1.0 + np.max(np.abs(b), axis=1, initial=0.0))
+    out = nonsingular & (residual > envelope)
+    if out.any():
+        raise NumericalError(f"linear solve residual {residual[out].max():.3e} out of envelope")
+    return x, nonsingular
+
+
+def solve_linear_system(matrix, rhs, *, pivot_tol: float = 1e-12) -> np.ndarray:
+    """Solve one square system: :func:`solve_linear_systems` with k = 1,
+    raising SingularMatrixError where that reports the system singular."""
+    x, nonsingular = solve_linear_systems([matrix], [rhs], pivot_tol=pivot_tol)
+    if not nonsingular[0]:
+        raise SingularMatrixError(f"a pivot is at most the tolerance {pivot_tol:.1e}")
+    return x[0]
 
 
 @dataclass(frozen=True)
@@ -99,38 +118,37 @@ class BasicPoint:
 def enumerate_basic_points(lp: StandardFormLP) -> list[BasicPoint]:
     """All basic points of ``lp``, one per distinct solution vector.
 
-    Degenerate points reachable through several bases are deduplicated by
-    hashing the solution vector at 1e-10 resolution; a merged point is
-    dual feasible when any of its bases is.
+    One stacked solve covers every basis, and one more the duals of the
+    nonsingular ones. Points reachable through several bases are merged by
+    their solution vector at 1e-10 resolution, in first-seen order; the first
+    basis is kept unless a later one is dual feasible and it is not.
     """
     m, n = lp.eq_matrix.shape
     if n > MAX_VARIABLES:
         raise EnumerationTooLargeError(f"enumeration limited to {MAX_VARIABLES} variables, got {n}")
 
     a, b, c = lp.eq_matrix, lp.eq_rhs, lp.objective
-    by_key: dict[tuple, BasicPoint] = {}
-    for basis in itertools.combinations(range(n), m):
-        cols = list(basis)
-        try:
-            x_basis = solve_linear_system(a[:, cols], b)
-            y = solve_linear_system(a[:, cols].T, c[cols])
-        except SingularMatrixError:
-            continue
-        x = np.zeros(n)
-        x[cols] = x_basis
-        reduced = c - a.T @ y
-        point = BasicPoint(
-            basis=basis,
-            solution=x,
-            primal_feasible=bool(np.all(x >= -PRIMAL_TOL)),
-            dual_feasible=bool(np.all(reduced >= -DUAL_TOL)),
-            value=float(c @ x),
-        )
-        key = tuple(np.round(x / DEDUP_RESOLUTION).astype(np.int64))
-        kept = by_key.get(key)
-        if kept is None or (point.dual_feasible and not kept.dual_feasible):
-            by_key[key] = point
-    return list(by_key.values())
+    bases = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)
+    blocks = a[:, bases].transpose(1, 0, 2)  # blocks[i] == a[:, bases[i]]
+    x_basis, primal_ok = solve_linear_systems(blocks, np.broadcast_to(b, bases.shape))
+    y, dual_ok = solve_linear_systems(blocks[primal_ok].transpose(0, 2, 1), c[bases[primal_ok]])
+    kept = np.flatnonzero(primal_ok)[dual_ok]
+    bases, x = bases[kept], np.zeros((len(kept), n))
+    x[np.arange(len(kept))[:, None], bases] = x_basis[kept]
+    # Stacked matmuls give each point the bits of its own `c @ x` and `a.T @ y`; `x @ c` does not.
+    values = np.matmul(x[:, None, :], c[:, None])[:, 0, 0].tolist()
+    reduced = c - np.matmul(a.T, y[dual_ok, :, None])[:, :, 0]
+    primal = np.all(x >= -PRIMAL_TOL, axis=1).tolist()
+    dual = np.all(reduced >= -DUAL_TOL, axis=1).tolist()
+
+    chosen: dict[tuple, int] = {}
+    for i, key in enumerate(map(tuple, np.round(x / DEDUP_RESOLUTION).astype(np.int64).tolist())):
+        if key not in chosen or (dual[i] and not dual[chosen[key]]):
+            chosen[key] = i
+    return [
+        BasicPoint(tuple(bases[i].tolist()), x[i], primal[i], dual[i], values[i])
+        for i in chosen.values()
+    ]
 
 
 @dataclass(frozen=True)

@@ -67,13 +67,7 @@ class SyntheticCohortSpec:
     baseline_hazard_treated: float = 0.03
 
     def planted_params(self) -> ModelParams:
-        return ModelParams(
-            pi00=self.pi00,
-            pi01=self.pi01,
-            pi10=self.pi10,
-            pi11=self.pi11,
-            gamma=self.gamma,
-        )
+        return ModelParams(self.pi00, self.pi01, self.pi10, self.pi11, self.gamma)
 
 
 @dataclass(frozen=True)

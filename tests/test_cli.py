@@ -332,6 +332,7 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         (_SOLVE_FREE + ["--f-dollars", "0"], None, 2, "--f-dollars must be finite and positive"),
         (_ESTIMATE + ["--caliper", "nan"], None, 2, "caliper must be finite and at least 0"),
         (_ESTIMATE + ["--caliper", "-1"], None, 2, "caliper must be finite and at least 0"),
+        (_ESTIMATE + ["--caliper", "abc"], None, 2, "argument --caliper: expected a number or 'none'"),
         (_ESTIMATE + ["--cutoff", "inf"], None, 2, "cutoff must be finite, got inf"),
         (
             _ESTIMATE + ["--criterion", "death-within:-5"],
@@ -372,6 +373,7 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         "f-dollars-zero",
         "caliper-nan",
         "caliper-negative",
+        "caliper-not-a-number",
         "cutoff-inf",
         "criterion-negative-days",
         "reproduce-zero-n",
