@@ -9,6 +9,7 @@ states the exit codes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -255,7 +256,10 @@ def _caliper(text: str) -> float | None:
         raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}") from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it unchanged
+    and returns a fresh Namespace, so every main() call reuses it (DECISIONS.md)."""
     parser = argparse.ArgumentParser(
         prog="carecontracts",
         description="Optimal outcome-contingent payment contracts for end-of-life care",

@@ -33,24 +33,30 @@ def solve_linear_systems(matrices, rhs, *, pivot_tol: float = 1e-12):
     and solves to zero, leaving the others alone and raising no numpy warning.
     Any other solution off ``|Ax - b|_inf <= 1e-9 (1 + |b|_inf)`` raises NumericalError.
     """
-    a = np.array(matrices, dtype=float)
-    b = np.array(rhs, dtype=float)
+    a = np.asarray(matrices, dtype=float)
+    b = np.asarray(rhs, dtype=float)
     if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2]:
         raise ValueError(f"need square matrices and matching rhs, got {a.shape} and {b.shape}")
-    aug = np.concatenate([a, b[:, :, None]], axis=2)
+    k, m = b.shape
+    aug = np.empty((k, m, m + 1))
+    aug[:, :, :m] = a
+    aug[:, :, m] = b
     if not np.isfinite(aug).all():
         raise ValueError("non-finite entries in linear system")
 
-    k, m = b.shape
     members = np.arange(k)
     nonsingular = np.ones(k, dtype=bool)
     for col in range(m):
         pivot_row = col + np.argmax(np.abs(aug[:, col:, col]), axis=1)
         singular = np.abs(aug[members, pivot_row, col]) <= pivot_tol
-        nonsingular &= ~singular
-        aug[singular] = np.eye(m, m + 1)
-        pivot_row[singular] = col
-        aug[members, col], aug[members, pivot_row] = aug[members, pivot_row], aug[members, col]
+        if singular.any():
+            nonsingular &= ~singular
+            aug[singular] = np.eye(m, m + 1)
+            pivot_row[singular] = col
+        if (pivot_row != col).any():
+            aug[members, col], aug[members, pivot_row] = aug[members, pivot_row], aug[members, col]
+        if col + 1 == m:
+            break
         factors = aug[:, col + 1 :, col] / aug[:, col, col, None]
         aug[:, col + 1 :] -= factors[:, :, None] * aug[:, col, None, :]
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carecontracts.cli import _emit_json, main
+from carecontracts.cli import _emit_json, build_parser, main
 from carecontracts.domain import ModelParams, dump_params
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
 from carecontracts.estimation import Cohort, save_cohort
@@ -394,6 +395,42 @@ def test_bad_input_exit_code(tmp_path, params_file, capsys, recwarn, argv, conte
     assert message.format(**fill) in captured.err
     assert not recwarn.list
     assert not (tmp_path / "out.json").exists()
+
+
+class TestParserReuse:
+    """main() reuses one parser per process; nothing carries from one call to the next."""
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_string_default_is_converted_on_every_parse(self):
+        estimate = ["estimate", "--cohort", "c.csv", "--out", "p.json"]
+        assert build_parser().parse_args(estimate + ["--caliper", "0.2"]).caliper == 0.2
+        assert build_parser().parse_args(estimate).caliper is None
+
+    def test_parse_error_leaves_the_parser_reusable(self, capsys):
+        build_parser.cache_clear()
+        assert main(["verify", "--trials", "1", "--seed", "7"]) == 0
+        fresh = capsys.readouterr().out
+        assert main(["verify", "--trials", "x"]) == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert main(["verify", "--trials", "1", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == fresh
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        for _ in range(2):
+            assert main(["verify", "--trials", "1"]) == 0
+        # the top-level parser and its five subparsers, once each
+        assert len(built) == 6 and built[0] == "carecontracts"
 
 
 class TestVerifyCommand:

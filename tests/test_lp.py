@@ -118,6 +118,17 @@ class TestSolveLinearSystems:
         _, nonsingular = solve_linear_systems([[[1.0, 0.0], [0.0, pivot]]], [[1.0, 1e-12]])
         assert nonsingular.tolist() == [not singular]
 
+    def test_transposed_stack_matches_single_solves(self):
+        """A non-contiguous stack, like the transposed bases of the dual solve,
+        solves each member byte for byte as its own single solve does."""
+        rng = np.random.default_rng(1)
+        matrices = rng.normal(size=(40, 6, 6)).transpose(0, 2, 1)
+        rhs = rng.normal(size=(40, 6))
+        x, nonsingular = solve_linear_systems(matrices, rhs)
+        assert nonsingular.all()
+        for i in range(40):
+            assert x[i].tobytes() == solve_linear_system(matrices[i], rhs[i]).tobytes()
+
     def test_empty_stack(self):
         x, nonsingular = solve_linear_systems(np.zeros((0, 2, 2)), np.zeros((0, 2)))
         assert x.shape == (0, 2) and nonsingular.shape == (0,)
