@@ -68,7 +68,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "f_dollars": f_dollars,
         "params": params_to_dict(params),
     }
-    transform = None
 
     if args.model == "free":
         solution = solve_free_payment(params, args.p11)
@@ -95,10 +94,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         payload["optimal_value"] = solution.optimal_value
         payload["noise_raises_cost"] = misclassification_raises_cost(params)
     else:
-        transform = UtilityTransform.parse(args.g)
-        solution = solve_risk_averse(params, transform)
+        solution = solve_risk_averse(params, args.g)
         contract = solution.contract
-        payload["transform"] = transform.name
+        payload["transform"] = args.g.name
         payload["w_contract"] = list(solution.w_contract)
         payload["multipliers"] = {
             "lambda1": solution.lambda1,
@@ -111,7 +109,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         payload["kkt"] = asdict(solution.kkt)
         payload["optimal_value"] = solution.optimal_value
 
-    certificate = verify_contract(params, contract, args.model, g=transform)
+    certificate = verify_contract(params, contract, args.model, g=args.g)
     payload["contract"] = asdict(contract)
     payload["contract_dollars"] = {
         key: dollars(value, f_dollars) for key, value in payload["contract"].items()
@@ -190,14 +188,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
-    transforms = (UtilityTransform.power(0.5), UtilityTransform.log())
     tallies = dict.fromkeys(CERTIFIED_CLAIMS, 0)
     for trial in range(args.trials):
         params = synthetic.sample_model_params(rng, with_noise=True)
-        for claim, agreed in certify(params, transforms[trial % len(transforms)]).items():
+        transform = UtilityTransform.parse(("power:0.5", "log")[trial % 2])  # checked per trial
+        for claim, agreed in certify(params, transform).items():
             tallies[claim] += agreed
     for claim, count in tallies.items():
         print(f"{claim}: {count}/{args.trials}")
@@ -209,10 +205,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
-    if args.sim_n < 2:
-        raise ValueError(f"--sim-n must be at least 2, got {args.sim_n}")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     spec = synthetic.SyntheticCohortSpec(n=args.n)
@@ -256,6 +248,24 @@ def _caliper(text: str) -> float | None:
         raise argparse.ArgumentTypeError(f"expected a number or 'none', got {text!r}") from None
 
 
+def _at_least(low: int):
+    """An argparse type for an integer flag of at least ``low``."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:  # a ValueError reads "invalid integer value"
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
+def _transform(text: str) -> UtilityTransform:
+    try:
+        return UtilityTransform.parse(text)
+    except ValueError as exc:  # InvalidTransformError, or a bad power:<a>
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: parse_args leaves it unchanged
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--params", required=True, help="model parameter JSON file")
     solve.add_argument("--t", type=float, default=0.0, help="non-negative family parameter in [0,1]")
     solve.add_argument("--p11", type=float, default=1.0, help="free-payment family parameter")
-    solve.add_argument("--g", default="power:0.5", help="utility transform: power:<a> or log")
+    solve.add_argument("--g", type=_transform, default="power:0.5", help="transform g: power:<a> or log")
     solve.add_argument("--f-dollars", type=float, default=DEFAULT_F_DOLLARS)
     solve.add_argument("--out", default=None, help="output JSON path (default stdout)")
     solve.set_defaults(handler=_cmd_solve)
@@ -292,8 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subparsers.add_parser("simulate", help="compare payment policies by simulation")
     simulate.add_argument("--params", required=True)
     simulate.add_argument("--contract", default="from-solver", help="contract JSON or 'from-solver'")
-    simulate.add_argument("--n", type=int, default=simulation.DEFAULT_N)
-    simulate.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    simulate.add_argument("--n", type=_at_least(2), default=simulation.DEFAULT_N)
+    simulate.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     simulate.add_argument("--w0", type=float, default=0.0)
     simulate.add_argument("--w1", type=float, default=0.0)
     simulate.add_argument("--out", default=None)
@@ -301,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(handler=_cmd_simulate)
 
     verify = subparsers.add_parser("verify", help="closed forms vs brute-force oracle")
-    verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    verify.add_argument("--trials", type=_at_least(1), default=100)
+    verify.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
     verify.set_defaults(handler=_cmd_verify)
 
     reproduce = subparsers.add_parser(
@@ -310,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument("--out", default="reproduction", help="output directory")
     reproduce.add_argument("--fixture", default=None, help="existing cohort CSV to reuse")
-    reproduce.add_argument("--n", type=int, default=100_000, help="generated cohort size")
-    reproduce.add_argument("--fixture-seed", type=int, default=DEFAULT_SEED)
-    reproduce.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    reproduce.add_argument("--sim-n", type=int, default=1_000_000)
+    reproduce.add_argument("--n", type=_at_least(1), default=100_000, help="generated cohort size")
+    reproduce.add_argument("--fixture-seed", type=_at_least(0), default=DEFAULT_SEED)
+    reproduce.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
+    reproduce.add_argument("--sim-n", type=_at_least(2), default=1_000_000)
     reproduce.set_defaults(handler=_cmd_reproduce)
 
     return parser

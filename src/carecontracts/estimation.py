@@ -286,7 +286,6 @@ class PropensityModel:
     coefficients: np.ndarray
     scores: np.ndarray
     iterations: int
-    score_norm: float
 
     def __post_init__(self) -> None:
         freeze(self, "coefficients", "scores")
@@ -330,12 +329,7 @@ def fit_propensity(cohort: Cohort) -> PropensityModel:
         except SingularMatrixError as exc:
             raise CollinearCovariatesError(f"covariates are collinear: {exc}") from exc
         if score_norm <= SCORE_TOL:
-            return PropensityModel(
-                coefficients=beta,
-                scores=prob,
-                iterations=iteration - 1,
-                score_norm=score_norm,
-            )
+            return PropensityModel(coefficients=beta, scores=prob, iterations=iteration - 1)
         beta = beta + step
     raise ConvergenceError(f"IRLS did not converge in {MAX_ITER} iterations")
 
@@ -422,15 +416,9 @@ def match_one_to_one(
     dropped: list[str] = []
     for ti, target, start in zip(treated.tolist(), targets.tolist(), starts.tolist()):
         candidates = [j for j in (find(left, start) - 1, find(right, start)) if 0 <= j < m]
-        if not candidates:
-            if caliper is None:
-                raise InsufficientControlsError("control pool exhausted")
-            dropped.append(ids[ti])
-            continue
-        best = min(candidates, key=lambda j: (abs(slot_score[j] - target), slot_score[j]))
-        distance = abs(slot_score[best] - target)
-        if caliper is not None and distance > caliper:
-            dropped.append(ids[ti])
+        best = min(candidates, key=lambda j: (abs(slot_score[j] - target), slot_score[j]), default=None)
+        if best is None or (caliper is not None and abs(slot_score[best] - target) > caliper):
+            dropped.append(ids[ti])  # None only with a caliper: see the check above
             continue
         kept_treated.append(ti)
         kept_slots.append(best)
@@ -643,20 +631,23 @@ def criterion_from_name(name: str) -> OutcomeCriterion:
 class OutcomeRateTable:
     """Cell rates by (responder class, expenditure) plus the class share.
 
+    ``counts`` and ``pi_hat`` are read-only 2x2 arrays indexed [class, e];
     ``pi_hat`` carries the criterion (death) frequency per cell in the
-    requested orientation. Empty cells keep rate None and are logged.
+    requested orientation, NaN for an empty cell, which is logged.
     """
 
-    counts: dict[tuple[int, int], int]
-    pi_hat: dict[tuple[int, int], float | None]
+    counts: np.ndarray
+    pi_hat: np.ndarray
     gamma_hat: float
 
+    def __post_init__(self) -> None:
+        freeze(self, "counts", "pi_hat", dtype=None)
+
     def to_model_params(self) -> ModelParams:
-        cells = ((0, 0), (0, 1), (1, 0), (1, 1))
-        for cell in cells:
-            if self.pi_hat[cell] is None:
-                raise EstimationError(f"cell {cell} is empty, outcome rate undefined")
-        return ModelParams(*(self.pi_hat[cell] for cell in cells), gamma=self.gamma_hat)
+        empty = np.argwhere(self.counts == 0).tolist()
+        if empty:
+            raise EstimationError(f"cell {tuple(empty[0])} is empty, outcome rate undefined")
+        return ModelParams(*self.pi_hat.ravel().tolist(), gamma=self.gamma_hat)
 
 
 def outcome_rates(
@@ -675,26 +666,16 @@ def outcome_rates(
         raise EstimationError(f"orientation must be survival or mortality, got {orientation!r}")
     if len(table.classes) != len(cohort):
         raise EstimationError("score table and cohort are misaligned")
-    counts: dict[tuple[int, int], int] = {}
-    oriented: dict[tuple[int, int], float | None] = {}
-    empty: list[tuple[int, int]] = []
-    flags = criterion(cohort).astype(float)
-    for r_class in (0, 1):
-        for e in (0, 1):
-            mask = (table.classes == r_class) & (cohort.e == e)
-            count = int(mask.sum())
-            counts[(r_class, e)] = count
-            if count == 0:
-                oriented[(r_class, e)] = None
-                empty.append((r_class, e))
-                continue
-            rate = float(flags[mask].mean())
-            oriented[(r_class, e)] = 1.0 - rate if orientation == "survival" else rate
+    cell = 2 * table.classes + cohort.e
+    counts = np.bincount(cell, minlength=4)
+    deaths = np.bincount(cell, weights=criterion(cohort), minlength=4)
+    rates = np.divide(deaths, counts, out=np.full(4, np.nan), where=counts > 0)
+    empty = [divmod(i, 2) for i in np.flatnonzero(counts == 0).tolist()]
     if empty:
         log.warning("empty outcome cells: %s", empty)
     return OutcomeRateTable(
-        counts=counts,
-        pi_hat=oriented,
+        counts=counts.reshape(2, 2),
+        pi_hat=(1.0 - rates if orientation == "survival" else rates).reshape(2, 2),
         gamma_hat=float(np.mean(table.classes)),
     )
 
@@ -805,7 +786,7 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
             "bin_edges": hist_edges.tolist(),
             "counts": hist_counts.tolist(),
         },
-        cell_counts={f"r{r}e{e}": rates.counts[(r, e)] for r in (0, 1) for e in (0, 1)},
+        cell_counts={f"r{r}e{e}": int(rates.counts[r, e]) for r in (0, 1) for e in (0, 1)},
         assumption_warnings=tuple(notes),
     )
     return PipelineResult(params=params, diagnostics=diagnostics)

@@ -247,6 +247,33 @@ class UtilityTransform:
     inverse: Callable[[np.ndarray], np.ndarray]
     inverse_derivative: Callable[[np.ndarray], np.ndarray]
 
+    def __post_init__(self) -> None:
+        """Checked when built: bijectivity, concavity, positivity and inverse
+        consistency are probed on a 64-point grid over [0, PROBE_UPPER]."""
+        x = np.linspace(0.0, PROBE_UPPER, 64)
+        fx = np.asarray(self.forward(x), dtype=float)
+        if not np.all(np.isfinite(fx)):
+            raise InvalidTransformError("transform produced non-finite values on the probe grid")
+        if abs(float(fx[0])) > 1e-9:
+            raise InvalidTransformError(f"g(0) = {fx[0]!r}, expected 0 for a bijection of [0, inf)")
+        if np.any(np.diff(fx) <= 0):
+            raise InvalidTransformError("transform is not strictly increasing on the probe grid")
+        if np.any(fx[1:] <= 0):
+            raise InvalidTransformError("transform is not positive for positive arguments")
+        # midpoint concavity on consecutive grid triples
+        if np.any(fx[1:-1] < 0.5 * (fx[:-2] + fx[2:]) - 1e-9):
+            raise InvalidTransformError("transform fails midpoint concavity on the probe grid")
+        back = np.asarray(self.inverse(fx), dtype=float)
+        if np.max(np.abs(back - x)) > 1e-10 * PROBE_UPPER:
+            raise InvalidTransformError("inverse(g(x)) deviates from x beyond 1e-10 on the grid")
+        # slope of the inverse vs central differences, away from the endpoints
+        y = np.asarray(self.forward(x[1:-1]), dtype=float)
+        h = 1e-6
+        fd = (np.asarray(self.inverse(y + h)) - np.asarray(self.inverse(y - h))) / (2 * h)
+        slope = np.asarray(self.inverse_derivative(y), dtype=float)
+        if np.max(np.abs(slope - fd) / np.maximum(1.0, np.abs(fd))) > 1e-4:
+            raise InvalidTransformError("inverse_derivative disagrees with finite differences")
+
     @classmethod
     def power(cls, exponent: float) -> "UtilityTransform":
         """g(x) = x**a for a in (0, 1]; a = 1 is the risk-neutral boundary."""
@@ -278,36 +305,6 @@ class UtilityTransform:
         if spec.startswith("power:"):
             return cls.power(float(spec.split(":", 1)[1]))
         raise InvalidTransformError(f"unknown transform spec {spec!r}")
-
-
-def validate_transform(g: UtilityTransform) -> None:
-    """Probe bijectivity, concavity, positivity, and inverse consistency.
-
-    Checks run on a fixed 64-point grid over [0, PROBE_UPPER]; failures raise.
-    """
-    x = np.linspace(0.0, PROBE_UPPER, 64)
-    fx = np.asarray(g.forward(x), dtype=float)
-    if not np.all(np.isfinite(fx)):
-        raise InvalidTransformError("transform produced non-finite values on the probe grid")
-    if abs(float(fx[0])) > 1e-9:
-        raise InvalidTransformError(f"g(0) = {fx[0]!r}, expected 0 for a bijection of [0, inf)")
-    if np.any(np.diff(fx) <= 0):
-        raise InvalidTransformError("transform is not strictly increasing on the probe grid")
-    if np.any(fx[1:] <= 0):
-        raise InvalidTransformError("transform is not positive for positive arguments")
-    # midpoint concavity on consecutive grid triples
-    if np.any(fx[1:-1] < 0.5 * (fx[:-2] + fx[2:]) - 1e-9):
-        raise InvalidTransformError("transform fails midpoint concavity on the probe grid")
-    back = np.asarray(g.inverse(fx), dtype=float)
-    if np.max(np.abs(back - x)) > 1e-10 * PROBE_UPPER:
-        raise InvalidTransformError("inverse(g(x)) deviates from x beyond 1e-10 on the grid")
-    # slope of the inverse vs central differences, away from the endpoints
-    y = np.asarray(g.forward(x[1:-1]), dtype=float)
-    h = 1e-6
-    fd = (np.asarray(g.inverse(y + h)) - np.asarray(g.inverse(y - h))) / (2 * h)
-    slope = np.asarray(g.inverse_derivative(y), dtype=float)
-    if np.max(np.abs(slope - fd) / np.maximum(1.0, np.abs(fd))) > 1e-4:
-        raise InvalidTransformError("inverse_derivative disagrees with finite differences")
 
 
 @dataclass(frozen=True)
@@ -369,7 +366,6 @@ def solve_risk_averse(params: ModelParams, g: UtilityTransform) -> RiskAverseSol
     """
     require_ordering(params)
     require_distinct_benefit(params)
-    validate_transform(g)
 
     system = build_normalized_system(params)
     w = np.array([0.0, 1.0, 0.0, 1.0])
@@ -475,7 +471,6 @@ def verify_contract(
     if model == "risk-averse":
         if g is None:
             raise InvalidTransformError("risk-averse verification needs a utility transform")
-        validate_transform(g)
         utility = np.asarray(g.forward(np.maximum(p, 0.0)), dtype=float)
     constraints = [
         status("treat-good-responders", float(system.c1 @ utility), system.b1),
@@ -500,7 +495,6 @@ def verify_contract(
         distance = float(np.linalg.norm(p - solution.contract.as_array()))
         gap = float(solution.objective @ p) - solution.optimal_value
     elif model == "risk-averse":
-        assert g is not None
         optimum = solve_risk_averse(params, g)
         distance = float(np.linalg.norm(p - optimum.contract.as_array()))
         gap = expected - optimum.optimal_value

@@ -86,6 +86,8 @@ def _solve_intercept(linear: np.ndarray, target: float) -> float:
     lo, hi = -30.0, 30.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # a fixed point: no later step can move 0.5 * (lo + hi)
+            break
         if float(np.mean(1.0 / (1.0 + np.exp(-(mid + linear))))) < target:
             lo = mid
         else:
@@ -111,20 +113,19 @@ def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, Synth
     intercept = _solve_intercept(linear, spec.treated_fraction)
     treated = rng.random(spec.n) < 1.0 / (1.0 + np.exp(-(intercept + linear)))
 
-    d_true = z @ delta
-    good = d_true > 0.0
+    good = z @ delta > 0.0
 
-    beta = np.where(treated[:, None], spec.beta_treated, spec.beta_control)
-    hazard = np.where(treated, spec.baseline_hazard_treated, spec.baseline_hazard_control)
-    rates = hazard * np.exp(np.sum(z * beta, axis=1))
+    # Each temporary dies in its statement: held to return, they raised the reproduce peak RSS.
+    rates = np.where(treated, spec.baseline_hazard_treated, spec.baseline_hazard_control)
+    rates *= np.exp(np.sum(z * np.where(treated[:, None], spec.beta_treated, spec.beta_control), axis=1))
     death_days = np.maximum(1, np.ceil(rng.exponential(1.0 / rates))).astype(int)
+    del rates
 
-    survival = np.where(
+    died_before_discharge = rng.random(spec.n) >= np.where(
         good,
         np.where(treated, spec.pi11, spec.pi10),
         np.where(treated, spec.pi01, spec.pi00),
     )
-    died_before_discharge = rng.random(spec.n) >= survival
     los = np.where(
         died_before_discharge,
         death_days + rng.uniform(0.5, 5.0, spec.n),

@@ -232,7 +232,7 @@ class TestSimulateCommand:
         out = tmp_path / "report.json"
         code = main(["simulate", "--params", str(params_file), "--n", "1", "--out", str(out)])
         assert code == 2
-        assert "at least two" in capsys.readouterr().err
+        assert "argument --n: must be at least 2, got 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_json_output_rejects_nan(self, tmp_path):
@@ -289,6 +289,8 @@ _HUGE_INT = b"1" + b"0" * 400
 _ESTIMATE = ["estimate", "--cohort", "{file}", "--out", "{out}"]
 _SOLVE = ["solve", "--model", "nonneg", "--params", "{file}"]
 _SOLVE_FREE = ["solve", "--model", "free", "--params", "{params}"]
+_SOLVE_AVERSE = ["solve", "--model", "risk-averse", "--params", "{params}", "--out", "{out}"]
+_REPRODUCE = ["reproduce", "--out", "{out}", "--n", "20000"]
 _SIMULATE = ["simulate", "--params", "{params}", "--n", "1000"]
 _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
 
@@ -323,8 +325,14 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         (_SOLVE, b"", 2, "{file}: Expecting value"),
         (_SOLVE, _NOT_UTF8, 2, "{file}: 'utf-8' codec"),
         (_ESTIMATE, b"id,e,t,los,event,z1\n" + _NOT_UTF8, 2, "{file}: not UTF-8 text"),
-        (["verify", "--trials", "0"], None, 2, "--trials must be at least 1"),
-        (["verify", "--trials", "-1"], None, 2, "--trials must be at least 1"),
+        (["verify", "--trials", "0"], None, 2, "argument --trials: must be at least 1, got 0"),
+        (["verify", "--trials", "-1"], None, 2, "argument --trials: must be at least 1, got -1"),
+        (["verify", "--seed", "-1"], None, 2, "argument --seed: must be at least 0, got -1"),
+        (_SIMULATE + ["--seed", "-1"], None, 2, "argument --seed: must be at least 0, got -1"),
+        (_SOLVE_AVERSE + ["--g", "power:abc"], None, 2, "argument --g: could not convert string"),
+        (_SOLVE_AVERSE + ["--g", "foo"], None, 2, "argument --g: unknown transform spec 'foo'"),
+        (_SOLVE_AVERSE + ["--g", "power:1.5"], None, 2, "argument --g: power exponent 1.5"),
+        (_SOLVE_FREE + ["--g", "foo", "--out", "{out}"], None, 2, "argument --g: unknown transform"),
         (_SOLVE_FREE + ["--p11", "nan"], None, 2, "--p11 must be finite, got nan"),
         (_SOLVE_FREE + ["--p11", "inf"], None, 2, "--p11 must be finite, got inf"),
         (_SOLVE_FREE + ["--f-dollars", "nan"], None, 2, "--f-dollars must be finite and positive"),
@@ -342,8 +350,10 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
             "criterion must be death-before-discharge or death-within:<days> with finite"
             " positive days, got 'death-within:-5'",
         ),
-        (["reproduce", "--out", "{out}", "--n", "0"], None, 2, "--n must be at least 1, got 0"),
-        (["reproduce", "--out", "{out}", "--sim-n", "1"], None, 2, "--sim-n must be at least 2"),
+        (["reproduce", "--out", "{out}", "--n", "0"], None, 2, "argument --n: must be at least 1, got 0"),
+        (["reproduce", "--out", "{out}", "--sim-n", "1"], None, 2, "argument --sim-n: must be at least 2"),
+        (_REPRODUCE + ["--seed", "-1"], None, 2, "argument --seed: must be at least 0, got -1"),
+        (_REPRODUCE + ["--fixture-seed", "-1"], None, 2, "argument --fixture-seed: must be at least 0"),
         (
             ["estimate", "--cohort", "{file}", "--out", "{file}/p.json"],
             None,
@@ -366,6 +376,12 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         "cohort-not-utf8",
         "verify-zero-trials",
         "verify-negative-trials",
+        "verify-negative-seed",
+        "simulate-negative-seed",
+        "g-power-not-a-number",
+        "g-unknown-spec",
+        "g-power-out-of-range",
+        "g-unknown-spec-free-model",
         "p11-nan",
         "p11-inf",
         "f-dollars-nan",
@@ -379,6 +395,8 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         "criterion-negative-days",
         "reproduce-zero-n",
         "reproduce-one-sim-n",
+        "reproduce-negative-seed",
+        "reproduce-negative-fixture-seed",
         "out-directory-missing",
     ],
 )
@@ -413,7 +431,7 @@ class TestParserReuse:
         assert main(["verify", "--trials", "1", "--seed", "7"]) == 0
         fresh = capsys.readouterr().out
         assert main(["verify", "--trials", "x"]) == 2
-        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert "argument --trials: invalid integer value: 'x'" in capsys.readouterr().err
         assert main(["verify", "--trials", "1", "--seed", "7"]) == 0
         assert capsys.readouterr().out == fresh
 

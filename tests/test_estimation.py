@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from carecontracts import estimation
+from carecontracts import estimation, synthetic
 from carecontracts.errors import (
     CohortFormatError,
     CollinearCovariatesError,
@@ -86,7 +86,8 @@ class TestFitPropensity:
         model = fit_propensity(cohort)
         assert model.coefficients[0] == pytest.approx(-0.4, abs=0.15)
         assert model.coefficients[1:] == pytest.approx(truth, abs=0.1)
-        assert model.score_norm <= 1e-8
+        x = np.column_stack([np.ones(len(cohort)), cohort.z])
+        assert np.max(np.abs(x.T @ (cohort.e - model.scores))) <= 1e-8
         assert np.all((model.scores > 0) & (model.scores < 1))
 
     def test_null_model_slopes_near_zero(self, rng):
@@ -249,6 +250,27 @@ def test_matching_agrees_with_full_scan(rows, caliper):
     ) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    arms=st.lists(st.integers(0, 8), min_size=1, max_size=15).flatmap(
+        lambda treated: st.tuples(
+            st.just(treated), st.lists(st.integers(0, 8), min_size=len(treated), max_size=30)
+        )
+    ),
+    random=st.randoms(use_true_random=False),
+)
+def test_enough_controls_pair_every_treated(arms, random):
+    """Without a caliper, at least as many controls as treated leaves a live
+    control for every treated record, whatever the ties (dyadic scores)."""
+    rows = [(1, eighths) for eighths in arms[0]] + [(0, eighths) for eighths in arms[1]]
+    random.shuffle(rows)
+    cohort = make_cohort(np.zeros((len(rows), 1)), [flag for flag, _ in rows])
+    result = match_one_to_one(cohort, np.array([eighths / 8 for _, eighths in rows]))
+    assert result.dropped_treated == ()
+    assert sorted(result.treated.tolist()) == np.flatnonzero(cohort.e == 1).tolist()
+    assert len(set(result.controls.tolist())) == len(arms[0])
+
+
 class TestFitCox:
     def test_recovers_planted_coefficients(self, rng):
         truth = (0.5, -0.3)
@@ -357,7 +379,7 @@ class TestOutcomeRates:
         }.items():
             assert rates.pi_hat[(r, e)] == pytest.approx(expected, abs=0.01)
         assert rates.gamma_hat == pytest.approx(0.44, abs=0.01)
-        assert sum(rates.counts.values()) == len(cohort)
+        assert rates.counts.sum() == len(cohort)
 
     def test_orientation_flag(self, rng):
         spec = SyntheticCohortSpec(n=2000, treated_fraction=0.5)
@@ -367,18 +389,19 @@ class TestOutcomeRates:
         )
         survival = outcome_rates(table, cohort, death_before_discharge, orientation="survival")
         mortality = outcome_rates(table, cohort, death_before_discharge, orientation="mortality")
-        for cell in survival.pi_hat:
-            assert survival.pi_hat[cell] == pytest.approx(1 - mortality.pi_hat[cell], abs=1e-12)
+        assert survival.pi_hat == pytest.approx(1 - mortality.pi_hat, abs=1e-12)
 
-    def test_empty_cell_flagged(self, caplog):
+    def test_empty_cell_flagged(self, caplog, recwarn):
         cohort = make_cohort(np.zeros((2, 1)), 1, t=[3, 9], los=[10.0, 2.0])
         table = estimation.ResponseScoreTable(scores=np.array([1.0, 1.0]), classes=np.array([1, 1]))
         with caplog.at_level("WARNING", logger=estimation.__name__):
             rates = outcome_rates(table, cohort)
         assert "empty outcome cells: [(0, 0), (0, 1), (1, 0)]" in caplog.text
-        assert rates.pi_hat[(0, 0)] is None
-        assert rates.counts[(0, 0)] == 0
-        with pytest.raises(EstimationError):
+        assert not recwarn.list  # an empty cell is NaN without a numpy warning
+        assert np.isnan(rates.pi_hat).tolist() == [[True, True], [True, False]]
+        assert rates.counts.tolist() == [[0, 0], [0, 2]]
+        assert not rates.counts.flags.writeable and not rates.pi_hat.flags.writeable
+        with pytest.raises(EstimationError, match=r"^cell \(0, 0\) is empty, outcome rate undefined$"):
             rates.to_model_params()
 
     def test_class_shares_sum_to_one(self, rng):
@@ -730,3 +753,18 @@ class TestPipeline:
         hist = result.diagnostics.histogram
         assert len(hist["bin_edges"]) == len(hist["counts"]) + 1
         assert sum(hist["counts"]) == result.diagnostics.n_matched
+
+
+@pytest.mark.parametrize("n", [50, 1_000, 20_000, 100_000])
+@pytest.mark.parametrize("target", [0.01, 0.1, 0.5, 0.93])
+def test_intercept_bisection_stops_at_its_fixed_point(n, target):
+    """Stopping once the midpoint hits an endpoint gives the bits of all 200 steps."""
+    linear = np.random.default_rng(n).normal(0.3, 0.8, n)
+    lo, hi = -30.0, 30.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(np.mean(1.0 / (1.0 + np.exp(-(mid + linear))))) < target:
+            lo = mid
+        else:
+            hi = mid
+    assert synthetic._solve_intercept(linear, target) == 0.5 * (lo + hi)

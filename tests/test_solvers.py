@@ -28,7 +28,6 @@ from carecontracts.solvers import (
     solve_non_negative,
     solve_non_negative_misclassified,
     solve_risk_averse,
-    validate_transform,
     verify_contract,
 )
 from carecontracts.synthetic import sample_model_params
@@ -244,37 +243,42 @@ class TestMisclassified:
 
 
 class TestUtilityTransform:
+    """A transform is checked when it is built, so every one that exists is valid."""
+
     def test_power_round_trip(self):
         g = UtilityTransform.power(0.5)
-        validate_transform(g)
         x = np.linspace(0.0, 3.0, 20)
         assert np.asarray(g.inverse(g.forward(x))) == pytest.approx(x, abs=1e-10)
 
     def test_log_round_trip(self):
-        validate_transform(UtilityTransform.log())
+        g = UtilityTransform.log()
+        x = np.linspace(0.0, 3.0, 20)
+        assert np.asarray(g.inverse(g.forward(x))) == pytest.approx(x, abs=1e-10)
 
     def test_identity_is_admissible(self):
-        validate_transform(UtilityTransform.power(1.0))
+        assert UtilityTransform.power(1.0).name == "power:1"
 
     def test_convex_transform_rejected(self):
-        g = UtilityTransform(
-            name="square",
-            forward=lambda x: np.asarray(x) ** 2,
-            inverse=lambda y: np.sqrt(y),
-            inverse_derivative=lambda y: 0.5 / np.sqrt(np.maximum(y, 1e-300)),
-        )
-        with pytest.raises(InvalidTransformError):
-            validate_transform(g)
+        with pytest.raises(InvalidTransformError, match="midpoint concavity"):
+            UtilityTransform(
+                name="square",
+                forward=lambda x: np.asarray(x) ** 2,
+                inverse=lambda y: np.sqrt(y),
+                inverse_derivative=lambda y: 0.5 / np.sqrt(np.maximum(y, 1e-300)),
+            )
 
     def test_shifted_transform_rejected(self):
-        g = UtilityTransform(
-            name="shifted",
-            forward=lambda x: np.asarray(x) + 1.0,
-            inverse=lambda y: np.asarray(y) - 1.0,
-            inverse_derivative=lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        )
-        with pytest.raises(InvalidTransformError):
-            validate_transform(g)
+        with pytest.raises(InvalidTransformError, match="expected 0"):
+            UtilityTransform(
+                name="shifted",
+                forward=lambda x: np.asarray(x) + 1.0,
+                inverse=lambda y: np.asarray(y) - 1.0,
+                inverse_derivative=lambda y: np.ones_like(np.asarray(y, dtype=float)),
+            )
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(InvalidTransformError, match="finite differences"):
+            dataclasses.replace(UtilityTransform.log(), inverse_derivative=np.exp2)
 
     def test_parse(self):
         assert UtilityTransform.parse("log").name == "log"
