@@ -19,12 +19,17 @@ indicator e, death-in-days t (positive integer), ICU length of stay los
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
+import os
 import re
+import threading
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice, repeat
 from operator import eq
 from pathlib import Path
@@ -60,13 +65,14 @@ ORIENTATIONS = ("survival", "mortality")
 _COLUMNS = {"e": int, "t": int, "los": float, "event": int, "z": float}
 # Rows formatted per write in ``save_cohort``; bounds the strings alive at
 # once. 65,536 rows raised the perfbench reproduce peak RSS by 8 %, at the
-# same speed.
+# same speed. Also the fewest rows a forked part of cohort CSV I/O holds.
 _WRITE_CHUNK = 8_192
 # Characters that make ``csv.QUOTE_MINIMAL`` quote a field.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
 # Characters read per check in ``_load_bulk`` (1 MB blocks cost 4 MB more
-# peak RSS at 400k rows, at the same speed), and the bytes a plain line may
-# hold: printable ASCII but ``"``, and the newline.
+# peak RSS at 400k rows, at the same speed), also the bytes copied per read
+# from a forked part, and the bytes a plain line may hold: printable ASCII
+# but ``"``, and the newline.
 _READ_HINT = 1 << 16
 _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 
@@ -101,10 +107,23 @@ class Cohort:
         return len(self.ids)
 
     def take(self, rows) -> Cohort:
-        """The sub-cohort at ``rows``, in that order."""
+        """The sub-cohort at ``rows``, in that order.
+
+        Distinct rows of a valid cohort make a valid cohort, so only the
+        distinctness is checked, not every row rule again.
+        """
         rows = np.asarray(rows, dtype=int)
-        columns = {name: getattr(self, name)[rows] for name in _COLUMNS}
-        return Cohort(ids=tuple(map(self.ids.__getitem__, rows.tolist())), **columns)
+        part = object.__new__(Cohort)
+        for name in _COLUMNS:
+            column = getattr(self, name)[rows]  # IndexError for a row out of range
+            column.flags.writeable = False
+            object.__setattr__(part, name, column)
+        # A negative row is the record of its positive twin.
+        counts = np.bincount(rows % max(len(self), 1), minlength=1)
+        if counts.max() > 1:
+            raise EstimationError(f"record {self.ids[int(counts.argmax())]}: duplicate id")
+        object.__setattr__(part, "ids", tuple(map(self.ids.__getitem__, rows.tolist())))
+        return part
 
 
 def _first_invalid_row(ids, e, t, los, event, z) -> tuple[int, str] | None:
@@ -141,11 +160,70 @@ def _header(p: int) -> list[str]:
 def load_cohort(path: str | Path) -> Cohort:
     """Parse a cohort CSV; any malformed field is a hard error with its line.
 
-    numpy parses a plain file in bulk. Any other file, and any file with a
-    fault, goes through the row reader, which alone words the errors.
+    numpy parses a plain file in bulk, in one part per CPU (see
+    ``_part_count``). Any other file, and any file with a fault, goes
+    through the row reader, which alone words the errors.
     """
     cohort = _load_bulk(path)
     return _load_rows(path) if cohort is None else cohort
+
+
+def _part_count(rows: int) -> int:
+    """The contiguous parts cohort CSV I/O splits ``rows`` rows into: one
+    per CPU this process may run on, each of at least ``_WRITE_CHUNK`` rows.
+    One part where a fork is unknown or unsafe: without
+    ``os.sched_getaffinity`` (off Linux), or with a second Python thread."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), rows // _WRITE_CHUNK))
+
+
+@contextmanager
+def _forked(jobs):
+    """Run each of ``jobs`` in a forked child; yield, in order, a binary
+    stream of the buffers each job returned.
+
+    Every child is reaped on the way out. A child that did not exit 0 then
+    raises ChildProcessError, so that the caller can take its serial path.
+    """
+    streams, pids = [], []
+    try:
+        for job in jobs:
+            read_end, write_end = os.pipe()
+            streams.append(open(read_end, "rb"))
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns on a fork beside threads it did not start, such
+                    # as a BLAS pool; the children run no code that such threads lock.
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _child(job, write_end, streams)
+                pids.append(pid)
+            finally:
+                os.close(write_end)
+        yield streams
+    finally:
+        for stream in streams:  # first, so that a child blocked on a full pipe ends
+            stream.close()
+        failed = [pid for pid in pids if os.waitpid(pid, 0)[1]]
+    if failed:
+        raise ChildProcessError(f"{len(failed)} of {len(pids)} cohort I/O workers failed")
+
+
+def _child(job, write_end: int, streams) -> None:
+    """The forked side of ``_forked``: write what ``job`` returns, then end
+    in ``os._exit``, so that no exit handler of the parent runs."""
+    code = 1
+    try:
+        for stream in streams:  # a read end left open here would keep a sibling blocked
+            stream.close()
+        with open(write_end, "wb") as out:
+            for buffer in job():
+                out.write(buffer)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _load_bulk(path: str | Path) -> Cohort | None:
@@ -158,19 +236,6 @@ def _load_bulk(path: str | Path) -> Cohort | None:
     above about U+40000, and it skips ``\\x1c`` to ``\\x1f`` as blanks where
     ``int`` and ``float`` refuse them.
     """
-    ids: list[str] = []
-
-    def plain_lines(fh, commas: int):
-        while chunk := fh.readlines(_READ_HINT):
-            if (
-                "".join(chunk).encode().translate(None, _PLAIN)
-                or set(map(str.count, chunk, repeat(","))) != {commas}
-                or max(map(len, chunk)) > csv.field_size_limit()
-            ):
-                raise ValueError("not a plain cohort file")
-            ids.extend([line.partition(",")[0] for line in chunk])
-            yield from chunk
-
     try:
         # Universal newlines end a line at \r, \n or \r\n, as csv.reader does.
         with open(path, encoding="ascii") as fh, warnings.catch_warnings():
@@ -179,20 +244,99 @@ def _load_bulk(path: str | Path) -> Cohort | None:
             p = len(header) - 5
             if p < 1 or header != _header(p):
                 return None
-            table = np.loadtxt(
-                plain_lines(fh, len(header) - 1),
-                dtype=[("e", int), ("t", int), ("los", float), ("event", int), ("z", float, (p,))],
-                delimiter=",",
-                comments=None,
-                quotechar=None,
-                usecols=range(1, len(header)),
-                ndmin=1,
-            )
-        if len(table) != len(ids):
-            return None
+            ranges = _part_ranges(path, ",".join(header).encode())
+            ids, table = _load_parts(path, ranges, p) if len(ranges) > 1 else _plain_table(fh, p)
         return Cohort(ids=ids, **{name: table[name] for name in _COLUMNS})
     except Exception:  # every fault is the row reader's to name
         return None
+
+
+def _plain_table(fh, p: int) -> tuple[list[str], np.ndarray]:
+    """The ids, and the other columns as one ``_table_dtype`` array, of the
+    lines left in text file ``fh``; ValueError where a line is not plain."""
+    ids: list[str] = []
+
+    def plain_lines():
+        while chunk := fh.readlines(_READ_HINT):
+            if (
+                "".join(chunk).encode().translate(None, _PLAIN)
+                or set(map(str.count, chunk, repeat(","))) != {p + 4}
+                or max(map(len, chunk)) > csv.field_size_limit()
+            ):
+                raise ValueError("not a plain cohort file")
+            ids.extend([line.partition(",")[0] for line in chunk])
+            yield from chunk
+
+    table = np.loadtxt(
+        plain_lines(),
+        dtype=_table_dtype(p),
+        delimiter=",",
+        comments=None,
+        quotechar=None,
+        usecols=range(1, p + 5),
+        ndmin=1,
+    )
+    if len(table) != len(ids):
+        raise ValueError("not a plain cohort file")
+    return ids, table
+
+
+def _table_dtype(p: int) -> np.dtype:
+    return np.dtype([("e", int), ("t", int), ("los", float), ("event", int), ("z", float, (p,))])
+
+
+def _part_ranges(path: str | Path, header: bytes) -> list[tuple[int, int]]:
+    """The byte ranges into which the file's body splits, each starting just
+    after a ``\\n``; none where the header line does not end in one."""
+    with open(path, "rb") as raw:
+        first = raw.readline()
+        if first not in (header + b"\n", header + b"\r\n"):
+            return []
+        size = os.fstat(raw.fileno()).st_size
+        parts = _part_count((size - len(first)) // max(len(raw.readline()), 1))
+        starts = [len(first)]
+        for k in range(1, parts):
+            raw.seek(len(first) + (size - len(first)) * k // parts - 1)
+            raw.readline()
+            if starts[-1] < raw.tell() < size:
+                starts.append(raw.tell())
+    return list(zip(starts, [*starts[1:], size]))
+
+
+def _load_parts(path: str | Path, ranges, p: int) -> tuple[list[str], np.ndarray]:
+    """``_plain_table`` of each byte range in a forked child. The parent
+    reads the children's tables straight into the one the cohort is built
+    from, so it holds no table of its own."""
+    jobs = [partial(_plain_part, path, start, stop, p) for start, stop in ranges]
+    ids, counts = [], []
+    with _forked(jobs) as streams:
+        for stream in streams:
+            count, size = np.frombuffer(stream.read(16), dtype=np.int64).tolist()
+            ids.extend(stream.read(size).decode("ascii").split("\n"))
+            counts.append(count)
+        if len(ids) != sum(counts):
+            raise ValueError("a part's ids and rows disagree")
+        table = np.empty(len(ids), dtype=_table_dtype(p))
+        rows = table.view(np.uint8)
+        offset = 0
+        for stream, count in zip(streams, counts):
+            size = count * table.itemsize
+            if stream.readinto(rows[offset : offset + size]) != size:
+                raise ValueError("a part ended early")
+            offset += size
+    return ids, table
+
+
+def _plain_part(path: str | Path, start: int, stop: int, p: int) -> list:
+    """``_plain_table`` of bytes ``start`` to ``stop`` of ``path``, as the
+    buffers ``_load_parts`` reads: the row count and the size of the ids,
+    the ids, one to a line, and the table."""
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        text = io.TextIOWrapper(io.BytesIO(raw.read(stop - start)), encoding="ascii")
+    ids, table = _plain_table(text, p)
+    blob = "\n".join(ids).encode()
+    return [np.array([len(ids), len(blob)], dtype=np.int64).tobytes(), blob, table.view(np.uint8)]
 
 
 def _load_rows(path: str | Path) -> Cohort:
@@ -255,25 +399,53 @@ def _csv_field(text: str) -> str:
 
 
 def save_cohort(cohort: Cohort, path: str | Path) -> None:
-    """Write ``cohort`` as CSV; floats use ``%.17g`` and so load back exactly."""
+    """Write ``cohort`` as CSV; floats use ``%.17g`` and so load back exactly.
+
+    Forked children format every part of the rows but the first (see
+    ``_part_count``), which the parent writes meanwhile; it then copies
+    theirs in. Should a fork or a child fail, the file is written again
+    serially.
+    """
     p = cohort.z.shape[1]
-    row = "%s,%d,%d,%.17g,%d" + ",%.17g" * p
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_header(p)) + "\r\n")
-        for start in range(0, len(cohort), _WRITE_CHUNK):
-            rows = slice(start, start + _WRITE_CHUNK)
-            ids = cohort.ids[rows]
-            if _NEEDS_QUOTES.search("".join(ids)):
-                ids = map(_csv_field, ids)
-            columns = zip(
-                ids,
-                cohort.e[rows].tolist(),
-                cohort.t[rows].tolist(),
-                cohort.los[rows].tolist(),
-                cohort.event[rows].tolist(),
-                *cohort.z[rows].T.tolist(),
-            )
-            fh.write("\r\n".join(map(row.__mod__, columns)) + "\r\n")
+    header = (",".join(_header(p)) + "\r\n").encode()
+    blocks = partial(_row_blocks, cohort, "%s,%d,%d,%.17g,%d" + ",%.17g" * p)
+    parts = _part_count(len(cohort))
+    cuts = [len(cohort) * k // parts for k in range(parts + 1)]
+    jobs = [partial(list, blocks(start, stop)) for start, stop in zip(cuts[1:], cuts[2:])]
+    with open(path, "wb") as fh:
+        if jobs:
+            try:
+                with _forked(jobs) as streams:
+                    fh.write(header)
+                    fh.writelines(blocks(0, cuts[1]))
+                    for stream in streams:
+                        while block := stream.read(_READ_HINT):
+                            fh.write(block)
+                return
+            except OSError:  # a failed fork or child
+                fh.seek(0)
+                fh.truncate()
+        fh.write(header)
+        fh.writelines(blocks(0, len(cohort)))
+
+
+def _row_blocks(cohort: Cohort, row: str, start: int, stop: int):
+    """Rows ``start`` to ``stop`` of ``cohort`` as encoded CSV, one block per
+    ``_WRITE_CHUNK`` rows; ``row`` is the ``%`` template of one line."""
+    for begin in range(start, stop, _WRITE_CHUNK):
+        rows = slice(begin, min(begin + _WRITE_CHUNK, stop))
+        ids = cohort.ids[rows]
+        if _NEEDS_QUOTES.search("".join(ids)):
+            ids = map(_csv_field, ids)
+        columns = zip(
+            ids,
+            cohort.e[rows].tolist(),
+            cohort.t[rows].tolist(),
+            cohort.los[rows].tolist(),
+            cohort.event[rows].tolist(),
+            *cohort.z[rows].T.tolist(),
+        )
+        yield ("\r\n".join(map(row.__mod__, columns)) + "\r\n").encode()
 
 
 # --- propensity model ---------------------------------------------------------
@@ -415,10 +587,18 @@ def match_one_to_one(
     kept_slots: list[int] = []
     dropped: list[str] = []
     for ti, target, start in zip(treated.tolist(), targets.tolist(), starts.tolist()):
-        candidates = [j for j in (find(left, start) - 1, find(right, start)) if 0 <= j < m]
-        best = min(candidates, key=lambda j: (abs(slot_score[j] - target), slot_score[j]), default=None)
-        if best is None or (caliper is not None and abs(slot_score[best] - target) > caliper):
-            dropped.append(ids[ti])  # None only with a caliper: see the check above
+        # The nearest live controls: lo below the target, hi at or above it.
+        lo = (find(left, start) if start in left else start) - 1
+        hi = find(right, start) if start in right else start
+        if lo < 0 and hi == m:  # no live control, only with a caliper: see the check above
+            dropped.append(ids[ti])
+            continue
+        if hi == m or (lo >= 0 and target - slot_score[lo] <= slot_score[hi] - target):
+            best, gap = lo, target - slot_score[lo]  # a tie goes to the lower score
+        else:
+            best, gap = hi, slot_score[hi] - target
+        if caliper is not None and gap > caliper:
+            dropped.append(ids[ti])
             continue
         kept_treated.append(ti)
         kept_slots.append(best)

@@ -495,9 +495,10 @@ def verify_contract(
         distance = float(np.linalg.norm(p - solution.contract.as_array()))
         gap = float(solution.objective @ p) - solution.optimal_value
     elif model == "risk-averse":
-        optimum = solve_risk_averse(params, g)
-        distance = float(np.linalg.norm(p - optimum.contract.as_array()))
-        gap = expected - optimum.optimal_value
+        # the closed form of solve_risk_averse: W = (0, 1, 0, 1), paid at g^-1(W)
+        optimum = np.asarray(g.inverse(np.array([0.0, 1.0, 0.0, 1.0])), dtype=float)
+        distance = float(np.linalg.norm(p - optimum))
+        gap = expected - params.gamma * float(optimum[1])
     else:
         raise ValueError(f"unknown model kind {model!r}")
 

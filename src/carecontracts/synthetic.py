@@ -134,7 +134,7 @@ def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, Synth
 
     width = len(str(spec.n))
     cohort = Cohort(
-        ids=tuple(f"p{i:0{width}d}" for i in range(spec.n)),
+        ids=tuple(map(f"p%0{width}d".__mod__, range(spec.n))),
         e=treated.astype(int),
         t=death_days,
         los=los,

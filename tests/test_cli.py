@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from carecontracts import cli, solvers
 from carecontracts.cli import _emit_json, build_parser, main
 from carecontracts.domain import ModelParams, dump_params
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
 from carecontracts.estimation import Cohort, save_cohort
+from carecontracts.solvers import solve_risk_averse
 
 
 @pytest.fixture
@@ -82,6 +84,22 @@ class TestSolveCommand:
         assert data["transform"] == "log"
         assert data["multipliers"]["lambda2"] == pytest.approx(0.0, abs=1e-10)
         assert data["optimal_value"] == pytest.approx(0.44 * (np.e - 1), abs=1e-9)
+
+    @pytest.mark.parametrize("g", ["power:0.5", "log"])
+    def test_risk_averse_model_solves_once(self, params_file, capsys, monkeypatch, g):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return solve_risk_averse(*args)
+
+        monkeypatch.setattr(cli, "solve_risk_averse", counted)
+        monkeypatch.setattr(solvers, "solve_risk_averse", counted)
+        argv = ["solve", "--model", "risk-averse", "--params", str(params_file), "--g", g]
+        assert main(argv) == 0
+        assert len(calls) == 1
+        certificate = json.loads(capsys.readouterr().out)["certificate"]
+        assert certificate["near_optimal"] and certificate["optimality_gap"] == 0.0
 
     def test_missing_params_file_exits_2(self, tmp_path, capsys):
         code = main(["solve", "--model", "nonneg", "--params", str(tmp_path / "nope.json")])
@@ -413,6 +431,25 @@ def test_bad_input_exit_code(tmp_path, params_file, capsys, recwarn, argv, conte
     assert message.format(**fill) in captured.err
     assert not recwarn.list
     assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_import_loads_no_process_pool():
+    """Cohort CSV I/O forks with ``os`` alone, so importing the CLI loads
+    neither ``multiprocessing`` nor ``concurrent``."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    probe = (
+        "import sys, carecontracts.cli\n"
+        "pools = ('multiprocessing', 'concurrent')\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in pools))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert run.stdout.strip() == "[]"
 
 
 class TestParserReuse:

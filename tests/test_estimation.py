@@ -438,6 +438,14 @@ class TestCohort:
         assert part.t.tolist() == [6, 4]
         assert part.z.tolist() == [[3.0], [1.0]]
 
+    def test_take_at_repeated_rows_names_the_duplicate(self):
+        cohort = make_cohort([[1.0], [2.0], [3.0]], [1, 0, 1])
+        with pytest.raises(EstimationError, match="record r1: duplicate id"):
+            cohort.take([0, 1, 2, 1])
+        with pytest.raises(EstimationError, match="record r2: duplicate id"):
+            cohort.take([2, -1])  # a negative row is its positive twin
+        assert cohort.take([]).ids == ()
+
     @pytest.mark.parametrize(
         "column, value, message",
         [
@@ -476,6 +484,24 @@ class TestCohort:
                 Cohort(**{**ok, **change})
         with pytest.raises(TypeError):  # a fractional day would be truncated
             Cohort(**{**ok, "t": [1.5, 2.0]})
+
+
+def _force_parts(monkeypatch, cpus):
+    """Let cohort CSV I/O fork up to ``cpus`` parts of at least 2 rows; the
+    returned list collects the pid of every child forked."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(estimation, "_WRITE_CHUNK", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
 
 
 def _write_rows(path, rows):
@@ -560,6 +586,68 @@ class TestCohortCsv:
         assert loaded.ids == cohort.ids
         for column in ("e", "t", "los", "event", "z"):
             assert np.array_equal(getattr(loaded, column), getattr(cohort, column))
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_forked_save_writes_the_serial_bytes(self, tmp_path, rng, monkeypatch, parts):
+        """Quoted and non-ASCII ids on both sides of every part boundary."""
+        n = 12
+        ids = [f"p{i}" for i in range(n)]
+        for i in range(3, 10):  # boundaries at 6 (two parts), 4 and 8 (three)
+            ids[i] = f'\u00e9,"{i}"' if i % 2 else f"\u00df{i}"
+        cohort = Cohort(
+            ids=tuple(ids),
+            e=rng.integers(0, 2, n),
+            t=rng.integers(1, 90, n),
+            los=rng.exponential(5.0, n) + 0.1,
+            event=rng.integers(0, 2, n),
+            z=rng.normal(size=(n, 2)),
+        )
+        serial, forked = tmp_path / "serial.csv", tmp_path / "forked.csv"
+        save_cohort(cohort, serial)
+        forks = _force_parts(monkeypatch, parts)
+        save_cohort(cohort, forked)
+        assert len(forks) == parts - 1
+        assert forked.read_bytes() == serial.read_bytes()
+        assert load_cohort(forked).ids == cohort.ids
+
+    def test_forked_load_gives_the_serial_cohort(self, tmp_path, monkeypatch):
+        path = tmp_path / "cohort.csv"
+        save_cohort(generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0], path)
+        serial = _outcome(load_cohort, path)
+        forks = _force_parts(monkeypatch, 3)
+        assert _outcome(load_cohort, path) == serial
+        assert len(forks) == 3  # the parent parses no part of its own
+
+    @pytest.mark.parametrize("direction", ["save", "load"])
+    def test_failed_child_falls_back_and_is_reaped(self, tmp_path, monkeypatch, direction):
+        """A child that raises leaves the serial result, and no child behind."""
+        path = tmp_path / "cohort.csv"
+        cohort = generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0]
+        save_cohort(cohort, path)
+        if direction == "save":
+            expected = path.read_bytes()
+        else:
+            expected = _outcome(estimation._load_rows, path)
+        parent = os.getpid()
+        name = "_row_blocks" if direction == "save" else "_plain_table"
+        work = getattr(estimation, name)
+
+        def fails_in_a_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return work(*args)
+
+        forks = _force_parts(monkeypatch, 2)
+        monkeypatch.setattr(estimation, name, fails_in_a_child)
+        if direction == "save":
+            path.unlink()
+            save_cohort(cohort, path)
+            assert path.read_bytes() == expected
+        else:
+            assert _outcome(load_cohort, path) == expected
+        assert len(forks) == (1 if direction == "save" else 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_integer_overflow_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -675,6 +763,30 @@ def test_single_field_mutation_loads_or_names_its_line(row, field, text, layout)
     ``load_cohort`` gives the cohort or the error text of the row reader.
     With every row intact, that is a clean load or a CohortFormatError
     naming the mutated line (for a duplicated id, the later line)."""
+    _check_single_field_mutation(row, field, text, layout)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    row=st.integers(1, 20),
+    field=st.integers(0, 7),
+    text=st.text(st.characters(blacklist_characters="\r\n", blacklist_categories=("Cs",))),
+    layout=st.sampled_from(sorted(_LAYOUTS)),
+)
+@example(row=4, field=2, text="5", layout="crlf")
+@example(row=4, field=2, text="5", layout="lf")
+@example(row=4, field=2, text="5", layout="cr")
+@example(row=20, field=2, text="5", layout="no-final-newline")
+@example(row=3, field=0, text="p01", layout="crlf")
+@example(row=18, field=5, text="x", layout="lf")
+def test_single_field_mutation_in_forked_parts(row, field, text, layout):
+    """The same, with the 20 rows split over three forked parts."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _force_parts(monkeypatch, 3)
+        _check_single_field_mutation(row, field, text, layout)
+
+
+def _check_single_field_mutation(row, field, text, layout):
     rows = [list(r) for r in _base_rows()]
     rows[row][field] = text
     line = row + 1
