@@ -337,7 +337,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (CareContractsError, OSError, ValueError) as exc:  # codes: see errors.py
+    except (CareContractsError, OSError, ValueError, MemoryError) as exc:  # see errors.py
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
 

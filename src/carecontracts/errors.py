@@ -5,7 +5,9 @@ This is the one statement of the exit-code rule. ``carecontracts`` exits
 for model errors (bad parameter values, broken assumptions, degenerate
 systems, failed fits), 2 for a cohort or parameter file that breaks its
 format. Any other I/O error (``OSError``) or bad value (``ValueError``,
-an out-of-range flag, say) exits 2, as does a command-line usage error.
+an out-of-range flag, say) exits 2, as does a command-line usage error
+and a size too large for memory (``MemoryError``, from ``simulate --n``
+or ``reproduce --sim-n``, say).
 """
 
 

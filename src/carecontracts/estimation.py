@@ -328,15 +328,32 @@ def _load_parts(path: str | Path, ranges, p: int) -> tuple[list[str], np.ndarray
 
 
 def _plain_part(path: str | Path, start: int, stop: int, p: int) -> list:
-    """``_plain_table`` of bytes ``start`` to ``stop`` of ``path``, as the
-    buffers ``_load_parts`` reads: the row count and the size of the ids,
-    the ids, one to a line, and the table."""
-    with open(path, "rb") as raw:
+    """``_plain_table`` of bytes ``start`` to ``stop`` of ``path``, read a
+    buffer at a time, as the buffers ``_load_parts`` reads: the row count
+    and the size of the ids, the ids, one to a line, and the table."""
+    with open(path, "rb", buffering=0) as raw:
         raw.seek(start)
-        text = io.TextIOWrapper(io.BytesIO(raw.read(stop - start)), encoding="ascii")
-    ids, table = _plain_table(text, p)
+        text = io.TextIOWrapper(io.BufferedReader(_Range(raw, stop - start)), encoding="ascii")
+        ids, table = _plain_table(text, p)
     blob = "\n".join(ids).encode()
     return [np.array([len(ids), len(blob)], dtype=np.int64).tobytes(), blob, table.view(np.uint8)]
+
+
+class _Range(io.RawIOBase):
+    """The next ``size`` bytes of unbuffered binary file ``raw``, read
+    through its ``readinto``, so that a reader above never holds more than
+    its own buffer of them."""
+
+    def __init__(self, raw, size: int) -> None:
+        self._raw, self._left = raw, size
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(memoryview(buffer)[: self._left])
+        self._left -= count
+        return count
 
 
 def _load_rows(path: str | Path) -> Cohort:

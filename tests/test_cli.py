@@ -253,6 +253,21 @@ class TestSimulateCommand:
         assert "argument --n: must be at least 2, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_of_memory_exits_2(self, params_file, capsys, monkeypatch):
+        """A draw count too large for memory is a bad flag value, not a traceback.
+        The failure is injected: on a host that overcommits memory, a real huge
+        ``--n`` could run instead of failing."""
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 745. GiB for an array")
+
+        monkeypatch.setattr(cli.simulation, "compare_policies", out_of_memory)
+        code = main(["simulate", "--params", str(params_file), "--n", "100000000000"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: Unable to allocate 745. GiB for an array\n"
+        assert "Traceback" not in err
+
     def test_json_output_rejects_nan(self, tmp_path):
         out = tmp_path / "report.json"
         with pytest.raises(ValueError):

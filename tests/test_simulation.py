@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from carecontracts.simulation import (
 )
 from carecontracts.solvers import solve_non_negative, solve_non_negative_misclassified
 from carecontracts.synthetic import sample_model_params
+
+# the simulation kernel's block size: the bit-identity cases straddle its edges
+BLOCK = simulation._BLOCK
 
 
 def max_gap_contract(params):
@@ -113,6 +117,28 @@ class TestSimulatePolicy:
             assert report.mean_payment == pytest.approx(solution.optimal_value, abs=0.005)
 
 
+# Three points of the 5x5 label-noise sweep (w0, w1 on linspace(0, 0.4, 5),
+# the case-study point estimates, the misclassified optimal contract under the
+# matched policy) at 1e5 draws and seed 13. The figures were recorded from
+# whole-array draws, before the kernel ran in blocks.
+SWEEP_FIGURES = {
+    (0, 0): (0.65927, 0.439564705882353, 0.0035275701711329414),
+    (2, 1): (0.65577, 0.3989529411764706, 0.0034520271744587707),
+    (4, 4): (0.68043, 0.46103529411764704, 0.0035596763256691287),
+}
+
+
+@pytest.mark.parametrize("point", sorted(SWEEP_FIGURES))
+def test_sweep_figures_pinned(point):
+    grid = np.linspace(0.0, 0.4, 5)
+    base = ModelParams(pi00=0.51, pi01=0.75, pi10=0.66, pi11=0.85, gamma=0.44)
+    params = base.with_misclassification(float(grid[point[0]]), float(grid[point[1]]))
+    contract = solve_non_negative_misclassified(params).contract
+    policy = Policy(AssignmentRule.MATCHED, contract, w0=params.w0, w1=params.w1)
+    report = simulate_policy(params, policy, n=100_000, seed=13)
+    assert (report.survival_rate, report.mean_payment, report.ci95_payment) == SWEEP_FIGURES[point]
+
+
 class TestComparePolicies:
     def test_common_random_numbers_reproducible(self, icp_params):
         contract = max_gap_contract(icp_params)
@@ -148,28 +174,59 @@ class TestComparePolicies:
             assert ra.avg_ratio == rb.avg_ratio
             assert ra.marginal_ratio == rb.marginal_ratio
 
-    @pytest.mark.parametrize("n", [2, 3, 30_001])
+    @pytest.mark.parametrize("n", [2, 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 30_001])
     def test_reports_equal_plain_table_lookups(self, icp_params, n):
         """Each report is bit-identical to 2x2 lookups with int64 indices and
-        numpy's own mean and ``std(ddof=1)`` on the same draws."""
+        numpy's own mean and ``std(ddof=1)`` over whole-array draws: one
+        ``random(n)`` call on each stream of ``SeedSequence(seed).spawn(3)``."""
         contract = max_gap_contract(icp_params)
         w0, w1 = 0.1, 0.2
-        draws = simulation._draw_population(icp_params, n, 8)
-        comparison = compare_policies(icp_params, contract, n=n, seed=8, w0=w0, w1=w1)
+        status, label, outcome = (
+            np.random.default_rng(s).random(n) for s in np.random.SeedSequence(8).spawn(3)
+        )
+        true_good = status < icp_params.gamma
         pi_cells = np.array([[icp_params.pi00, icp_params.pi01], [icp_params.pi10, icp_params.pi11]])
         pay_cells = contract.as_array().reshape(2, 2)
-        observed_good = np.where(
-            draws.true_good, draws.label_uniform >= w0, draws.label_uniform < w1
-        )
-        for report, expenditure in zip(
-            comparison.reports,
-            (observed_good.astype(int), np.ones(n, dtype=int), np.zeros(n, dtype=int)),
-        ):
-            survived = draws.outcome_uniform < pi_cells[draws.true_good.astype(int), expenditure]
+
+        def assert_plain(report, expenditure):
+            survived = outcome < pi_cells[true_good.astype(int), expenditure]
             payments = pay_cells[survived.astype(int), expenditure]
             assert report.survival_rate == float(survived.mean())
             assert report.mean_payment == float(payments.mean())
             assert report.ci95_payment == 1.96 * float(payments.std(ddof=1) / np.sqrt(n))
+
+        def observed_good(w0, w1):
+            return np.where(true_good, label >= w0, label < w1).astype(int)
+
+        comparison = compare_policies(icp_params, contract, n=n, seed=8, w0=w0, w1=w1)
+        for report, expenditure in zip(
+            comparison.reports,
+            (observed_good(w0, w1), np.ones(n, dtype=int), np.zeros(n, dtype=int)),
+        ):
+            assert_plain(report, expenditure)
+        for w0, w1 in ((0.3, 0.05), (0.0, 0.4)):
+            policy = Policy(AssignmentRule.MATCHED, contract, w0=w0, w1=w1)
+            assert_plain(simulate_policy(icp_params, policy, n=n, seed=8), observed_good(w0, w1))
+
+    def test_traced_peak_is_one_payment_column(self, icp_params):
+        """Under tracemalloc, a run holds one 8-byte payment per draw plus at
+        most 3 MiB of block buffers; whole-array draws peaked at 11.3 MB
+        here."""
+        n = 400_000
+        contract = max_gap_contract(icp_params)
+        policy = Policy(AssignmentRule.MATCHED, contract, w0=0.1, w1=0.2)
+        runs = (
+            lambda: simulate_policy(icp_params, policy, n=n, seed=3),
+            lambda: compare_policies(icp_params, contract, n=n, seed=3, w0=0.1, w1=0.2),
+        )
+        for run in runs:
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * n + 3 * 2**20
 
     def test_almost_all_good_responders(self):
         params = ModelParams(0.51, 0.75, 0.66, 0.85, gamma=0.999)
