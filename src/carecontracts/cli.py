@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -23,11 +23,13 @@ from .domain import (
     DEFAULT_F_DOLLARS,
     Contract,
     ModelParams,
+    check_noise_rate,
     dollars,
     dump_params,
     load_params,
     params_to_dict,
     read_json,
+    write_json,
 )
 from .errors import CareContractsError
 from .solvers import (
@@ -43,14 +45,6 @@ from .solvers import (
 )
 
 DEFAULT_SEED = 13
-
-
-def _emit_json(payload: dict, out: str | Path | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
 
 
 # --- solve ----------------------------------------------------------------------
@@ -117,7 +111,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     payload["expected_payment"] = certificate.expected_payment
     payload["expected_payment_dollars"] = dollars(payload["expected_payment"], f_dollars)
     payload["certificate"] = asdict(certificate)
-    _emit_json(payload, args.out)
+    write_json(payload, args.out)
     return 0
 
 
@@ -138,7 +132,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
     dump_params(result.params, out)
     diag_path = out.with_name(out.stem + ".diagnostics.json")
-    _emit_json(asdict(result.diagnostics), diag_path)
+    write_json(asdict(result.diagnostics), diag_path)
     scores_path = out.with_name(out.stem + ".scores.csv")
     hist = result.diagnostics.histogram
     with open(scores_path, "w", encoding="utf-8", newline="") as fh:
@@ -180,7 +174,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.format == "csv":
         simulation.export_report_csv(list(comparison.reports), args.out or sys.stdout)
     else:
-        _emit_json(simulation.comparison_to_dict(comparison), args.out)
+        write_json(simulation.comparison_to_dict(comparison), args.out)
     return 0
 
 
@@ -223,7 +217,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     simulation.export_report_csv(list(comparison.reports), outdir / "policy_comparison.csv")
     report["fixture"] = str(fixture_path)
     report["fixture_seed"] = None if args.fixture else args.fixture_seed
-    _emit_json(report, outdir / "report.json")
+    write_json(report, outdir / "report.json")
 
     width = max(len(v["name"]) for v in report["verdicts"])
     for v in report["verdicts"]:
@@ -257,6 +251,25 @@ def _at_least(low: int):
         return int(text)
 
     return integer
+
+
+def _noise_rate(text: str) -> float:
+    """An argparse type for a label-noise rate, in [0, 1) by ``check_noise_rate``."""
+    try:
+        rate = float(text)
+        check_noise_rate("rate", rate)
+    except ValueError as exc:  # not a number, or InvalidParamsError
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return rate
+
+
+def _draws(text: str) -> int:
+    """An argparse type for a draw count: at least 2, with its 8-byte payments
+    within physical memory, so that a count that cannot run fails at once."""
+    n = _at_least(2)(text)
+    if hasattr(os, "sysconf") and 8 * n > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise argparse.ArgumentTypeError(f"must fit in physical memory at 8 bytes a draw, got {n}")
+    return n
 
 
 def _transform(text: str) -> UtilityTransform:
@@ -302,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = subparsers.add_parser("simulate", help="compare payment policies by simulation")
     simulate.add_argument("--params", required=True)
     simulate.add_argument("--contract", default="from-solver", help="contract JSON or 'from-solver'")
-    simulate.add_argument("--n", type=_at_least(2), default=simulation.DEFAULT_N)
+    simulate.add_argument("--n", type=_draws, default=simulation.DEFAULT_N)
     simulate.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
-    simulate.add_argument("--w0", type=float, default=0.0)
-    simulate.add_argument("--w1", type=float, default=0.0)
+    simulate.add_argument("--w0", type=_noise_rate, default=0.0)
+    simulate.add_argument("--w1", type=_noise_rate, default=0.0)
     simulate.add_argument("--out", default=None)
     simulate.add_argument("--format", choices=["csv", "json"], default="json")
     simulate.set_defaults(handler=_cmd_simulate)
@@ -323,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--n", type=_at_least(1), default=100_000, help="generated cohort size")
     reproduce.add_argument("--fixture-seed", type=_at_least(0), default=DEFAULT_SEED)
     reproduce.add_argument("--seed", type=_at_least(0), default=DEFAULT_SEED)
-    reproduce.add_argument("--sim-n", type=_at_least(2), default=1_000_000)
+    reproduce.add_argument("--sim-n", type=_draws, default=1_000_000)
     reproduce.set_defaults(handler=_cmd_reproduce)
 
     return parser

@@ -21,6 +21,7 @@ bad responders palliatively) every contract model reduces to the vectors
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -337,7 +338,15 @@ def load_params(path: str | Path) -> ModelParams:
     return params_from_dict(read_json(path))
 
 
+def write_json(payload, out: str | Path | None = None) -> None:
+    """Write ``payload`` as strict JSON (NaN or infinity raise ValueError),
+    indented, keys sorted, newline-terminated, to file ``out`` or stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def dump_params(params: ModelParams, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(params_to_dict(params), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(params_to_dict(params), path)

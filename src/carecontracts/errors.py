@@ -6,8 +6,8 @@ for model errors (bad parameter values, broken assumptions, degenerate
 systems, failed fits), 2 for a cohort or parameter file that breaks its
 format. Any other I/O error (``OSError``) or bad value (``ValueError``,
 an out-of-range flag, say) exits 2, as does a command-line usage error
-and a size too large for memory (``MemoryError``, from ``simulate --n``
-or ``reproduce --sim-n``, say).
+and a size too large for the memory free at run time (``MemoryError``;
+the parser rejects a draw count beyond physical memory).
 """
 
 

@@ -69,7 +69,7 @@ _COLUMNS = {"e": int, "t": int, "los": float, "event": int, "z": float}
 _WRITE_CHUNK = 8_192
 # Characters that make ``csv.QUOTE_MINIMAL`` quote a field.
 _NEEDS_QUOTES = re.compile('[,"\r\n]')
-# Characters read per check in ``_load_bulk`` (1 MB blocks cost 4 MB more
+# Characters read per check in ``_plain_part`` (1 MB blocks cost 4 MB more
 # peak RSS at 400k rows, at the same speed), also the bytes copied per read
 # from a forked part, and the bytes a plain line may hold: printable ASCII
 # but ``"``, and the newline.
@@ -234,29 +234,53 @@ def _load_bulk(path: str | Path) -> Cohort | None:
     module's field size limit. Nothing else may reach ``np.loadtxt``: numpy
     2.4 can crash the process on an integer field that holds a code point
     above about U+40000, and it skips ``\\x1c`` to ``\\x1f`` as blanks where
-    ``int`` and ``float`` refuse them.
+    ``int`` and ``float`` refuse them. The parent parses the body's first
+    byte range, and a forked child each other one (see ``_sent_part``).
     """
     try:
-        # Universal newlines end a line at \r, \n or \r\n, as csv.reader does.
-        with open(path, encoding="ascii") as fh, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            header = fh.readline().rstrip("\n").split(",")
-            p = len(header) - 5
-            if p < 1 or header != _header(p):
-                return None
-            ranges = _part_ranges(path, ",".join(header).encode())
-            ids, table = _load_parts(path, ranges, p) if len(ranges) > 1 else _plain_table(fh, p)
+            p, ranges = _part_ranges(path)
+            jobs = [partial(_sent_part, path, start, stop, p) for start, stop in ranges[1:]]
+            with _forked(jobs) as streams:
+                ids, *tables = _plain_part(path, *ranges[0], p)
+                for stream in streams:
+                    size = int.from_bytes(stream.read(8), "little")
+                    ids += stream.read(size).decode("ascii").split("\n")
+                    tables.append(np.frombuffer(stream.read(), dtype=tables[0].dtype))
+            table = np.concatenate(tables)
+            del tables  # so that the part buffers are gone before the columns are copied
         return Cohort(ids=ids, **{name: table[name] for name in _COLUMNS})
     except Exception:  # every fault is the row reader's to name
         return None
 
 
-def _plain_table(fh, p: int) -> tuple[list[str], np.ndarray]:
-    """The ids, and the other columns as one ``_table_dtype`` array, of the
-    lines left in text file ``fh``; ValueError where a line is not plain."""
+def _part_ranges(path: str | Path) -> tuple[int, list[tuple[int, int]]]:
+    """The header's covariate count, and the byte ranges the body splits into,
+    each just after a ``\\n``; ValueError unless the header is exact and ends in one."""
+    with open(path, "rb") as raw:
+        first = raw.readline()
+        p = first.count(b",") - 4
+        header = ",".join(_header(p)).encode()
+        if p < 1 or first not in (header + b"\n", header + b"\r\n"):
+            raise ValueError("not a plain cohort header")
+        size = os.fstat(raw.fileno()).st_size
+        parts = _part_count((size - len(first)) // max(len(raw.readline()), 1))
+        starts = [len(first)]
+        for k in range(1, parts):
+            raw.seek(len(first) + (size - len(first)) * k // parts - 1)
+            raw.readline()
+            if starts[-1] < raw.tell() < size:
+                starts.append(raw.tell())
+    return p, list(zip(starts, [*starts[1:], size]))
+
+
+def _plain_part(path: str | Path, start: int, stop: int, p: int) -> tuple[list[str], np.ndarray]:
+    """The ids, and the other columns as one structured array, of the plain
+    lines in bytes ``start`` to ``stop`` of ``path``, read a buffer at a time."""
     ids: list[str] = []
 
-    def plain_lines():
+    def plain_lines(fh):
         while chunk := fh.readlines(_READ_HINT):
             if (
                 "".join(chunk).encode().translate(None, _PLAIN)
@@ -267,76 +291,30 @@ def _plain_table(fh, p: int) -> tuple[list[str], np.ndarray]:
             ids.extend([line.partition(",")[0] for line in chunk])
             yield from chunk
 
-    table = np.loadtxt(
-        plain_lines(),
-        dtype=_table_dtype(p),
-        delimiter=",",
-        comments=None,
-        quotechar=None,
-        usecols=range(1, p + 5),
-        ndmin=1,
-    )
+    with open(path, "rb", buffering=0) as raw:
+        raw.seek(start)
+        # Universal newlines end a line at \r, \n or \r\n, as csv.reader does.
+        text = io.TextIOWrapper(io.BufferedReader(_Range(raw, stop - start)), encoding="ascii")
+        table = np.loadtxt(
+            plain_lines(text),
+            dtype=[(name, dtype, (p,) if name == "z" else ()) for name, dtype in _COLUMNS.items()],
+            delimiter=",",
+            comments=None,
+            quotechar=None,
+            usecols=range(1, p + 5),
+            ndmin=1,
+        )
     if len(table) != len(ids):
         raise ValueError("not a plain cohort file")
     return ids, table
 
 
-def _table_dtype(p: int) -> np.dtype:
-    return np.dtype([("e", int), ("t", int), ("los", float), ("event", int), ("z", float, (p,))])
-
-
-def _part_ranges(path: str | Path, header: bytes) -> list[tuple[int, int]]:
-    """The byte ranges into which the file's body splits, each starting just
-    after a ``\\n``; none where the header line does not end in one."""
-    with open(path, "rb") as raw:
-        first = raw.readline()
-        if first not in (header + b"\n", header + b"\r\n"):
-            return []
-        size = os.fstat(raw.fileno()).st_size
-        parts = _part_count((size - len(first)) // max(len(raw.readline()), 1))
-        starts = [len(first)]
-        for k in range(1, parts):
-            raw.seek(len(first) + (size - len(first)) * k // parts - 1)
-            raw.readline()
-            if starts[-1] < raw.tell() < size:
-                starts.append(raw.tell())
-    return list(zip(starts, [*starts[1:], size]))
-
-
-def _load_parts(path: str | Path, ranges, p: int) -> tuple[list[str], np.ndarray]:
-    """``_plain_table`` of each byte range in a forked child. The parent
-    reads the children's tables straight into the one the cohort is built
-    from, so it holds no table of its own."""
-    jobs = [partial(_plain_part, path, start, stop, p) for start, stop in ranges]
-    ids, counts = [], []
-    with _forked(jobs) as streams:
-        for stream in streams:
-            count, size = np.frombuffer(stream.read(16), dtype=np.int64).tolist()
-            ids.extend(stream.read(size).decode("ascii").split("\n"))
-            counts.append(count)
-        if len(ids) != sum(counts):
-            raise ValueError("a part's ids and rows disagree")
-        table = np.empty(len(ids), dtype=_table_dtype(p))
-        rows = table.view(np.uint8)
-        offset = 0
-        for stream, count in zip(streams, counts):
-            size = count * table.itemsize
-            if stream.readinto(rows[offset : offset + size]) != size:
-                raise ValueError("a part ended early")
-            offset += size
-    return ids, table
-
-
-def _plain_part(path: str | Path, start: int, stop: int, p: int) -> list:
-    """``_plain_table`` of bytes ``start`` to ``stop`` of ``path``, read a
-    buffer at a time, as the buffers ``_load_parts`` reads: the row count
-    and the size of the ids, the ids, one to a line, and the table."""
-    with open(path, "rb", buffering=0) as raw:
-        raw.seek(start)
-        text = io.TextIOWrapper(io.BufferedReader(_Range(raw, stop - start)), encoding="ascii")
-        ids, table = _plain_table(text, p)
+def _sent_part(path: str | Path, start: int, stop: int, p: int) -> list:
+    """``_plain_part`` as the buffers a forked child sends: the byte size of
+    the ids, the ids, one to a line, and the table."""
+    ids, table = _plain_part(path, start, stop, p)
     blob = "\n".join(ids).encode()
-    return [np.array([len(ids), len(blob)], dtype=np.int64).tobytes(), blob, table.view(np.uint8)]
+    return [len(blob).to_bytes(8, "little"), blob, table.view(np.uint8)]
 
 
 class _Range(io.RawIOBase):
@@ -430,18 +408,17 @@ def save_cohort(cohort: Cohort, path: str | Path) -> None:
     cuts = [len(cohort) * k // parts for k in range(parts + 1)]
     jobs = [partial(list, blocks(start, stop)) for start, stop in zip(cuts[1:], cuts[2:])]
     with open(path, "wb") as fh:
-        if jobs:
-            try:
-                with _forked(jobs) as streams:
-                    fh.write(header)
-                    fh.writelines(blocks(0, cuts[1]))
-                    for stream in streams:
-                        while block := stream.read(_READ_HINT):
-                            fh.write(block)
-                return
-            except OSError:  # a failed fork or child
-                fh.seek(0)
-                fh.truncate()
+        try:
+            with _forked(jobs) as streams:
+                fh.write(header)
+                fh.writelines(blocks(0, cuts[1]))
+                for stream in streams:
+                    while block := stream.read(_READ_HINT):
+                        fh.write(block)
+            return
+        except OSError:  # a failed fork or child
+            fh.seek(0)
+            fh.truncate()
         fh.write(header)
         fh.writelines(blocks(0, len(cohort)))
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from carecontracts import cli, solvers
-from carecontracts.cli import _emit_json, build_parser, main
-from carecontracts.domain import ModelParams, dump_params
+from carecontracts.cli import build_parser, main
+from carecontracts.domain import ModelParams, dump_params, write_json
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
 from carecontracts.estimation import Cohort, save_cohort
 from carecontracts.solvers import solve_risk_averse
@@ -254,15 +254,16 @@ class TestSimulateCommand:
         assert not out.exists()
 
     def test_out_of_memory_exits_2(self, params_file, capsys, monkeypatch):
-        """A draw count too large for memory is a bad flag value, not a traceback.
-        The failure is injected: on a host that overcommits memory, a real huge
-        ``--n`` could run instead of failing."""
+        """A draw count that fits physical memory but not the memory free at
+        run time is a bad flag value, not a traceback. The failure is
+        injected: on a host that overcommits memory, a real large ``--n``
+        could run instead of failing."""
 
         def out_of_memory(*args, **kwargs):
             raise MemoryError("Unable to allocate 745. GiB for an array")
 
         monkeypatch.setattr(cli.simulation, "compare_policies", out_of_memory)
-        code = main(["simulate", "--params", str(params_file), "--n", "100000000000"])
+        code = main(["simulate", "--params", str(params_file), "--n", "1000"])
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: Unable to allocate 745. GiB for an array\n"
@@ -271,7 +272,7 @@ class TestSimulateCommand:
     def test_json_output_rejects_nan(self, tmp_path):
         out = tmp_path / "report.json"
         with pytest.raises(ValueError):
-            _emit_json({"ci95_payment": float("nan")}, out)
+            write_json({"ci95_payment": float("nan")}, out)
         assert not out.exists()
 
     def test_json_output_deterministic(self, tmp_path, params_file):
@@ -326,6 +327,7 @@ _SOLVE_AVERSE = ["solve", "--model", "risk-averse", "--params", "{params}", "--o
 _REPRODUCE = ["reproduce", "--out", "{out}", "--n", "20000"]
 _SIMULATE = ["simulate", "--params", "{params}", "--n", "1000"]
 _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
+_TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
 
 
 @pytest.mark.parametrize(
@@ -335,8 +337,9 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         (_ESTIMATE, b"id,e,t,los,event,z1\np1,1,2,3.0,1," + b"9" * 200_000 + b"\n", 2, "line 2"),
         (_SOLVE, _DEEP, 2, "{file}"),
         (_SIMULATE + ["--contract", "{file}"], _DEEP, 2, "{file}"),
-        (_SIMULATE + ["--w0", "2"], None, 1, "w0=2.0"),
-        (_SIMULATE + ["--w1", "nan"], None, 1, "w1=nan"),
+        (_SIMULATE + ["--w0", "2"], None, 2, "argument --w0: rate=2.0 must lie in [0, 1)"),
+        (_SIMULATE + ["--w1", "nan"], None, 2, "argument --w1: rate=nan must lie in [0, 1)"),
+        (_SIMULATE + ["--n", _TOO_MANY], None, 2, "argument --n: must fit in physical memory"),
         (
             _SIMULATE + ["--contract", "{file}", "--format", "csv"],
             b'{"p00": NaN, "p01": 0, "p10": 0, "p11": 1}',
@@ -401,6 +404,7 @@ _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
         "contract-nested",
         "w0-out-of-range",
         "w1-nan",
+        "simulate-n-beyond-memory",
         "contract-nan",
         "params-huge-int",
         "contract-huge-int",
@@ -446,6 +450,16 @@ def test_bad_input_exit_code(tmp_path, params_file, capsys, recwarn, argv, conte
     assert message.format(**fill) in captured.err
     assert not recwarn.list
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--w0", "--w1"])
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "inf"])
+def test_noise_rate_out_of_range_exits_2_before_any_read(tmp_path, capsys, flag, value):
+    """The range rule of ``check_noise_rate`` runs in the parser, so the
+    missing parameter file is never opened."""
+    assert main(["simulate", "--params", str(tmp_path / "missing.json"), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: rate={float(value)!r} must lie in [0, 1)" in err
 
 
 def test_cli_import_loads_no_process_pool():
@@ -542,6 +556,16 @@ class TestReproduceCommand:
             assert flags["matched"] is False
             assert flags["pure-low"] is False
         assert verdict_sets[0] == verdict_sets[1]
+
+    def test_sim_n_beyond_memory_exits_2_before_generating(self, tmp_path, capsys, monkeypatch):
+        def generate_cohort(*args, **kwargs):
+            raise AssertionError("the cohort was generated")
+
+        monkeypatch.setattr(cli.synthetic, "generate_cohort", generate_cohort)
+        outdir = tmp_path / "repro"
+        assert main(["reproduce", "--out", str(outdir), "--sim-n", _TOO_MANY]) == 2
+        assert "argument --sim-n: must fit in physical memory" in capsys.readouterr().err
+        assert not (outdir / "cohort.csv").exists()
 
     def test_reuses_existing_fixture(self, tmp_path, small_cohort_file):
         outdir = tmp_path / "repro"

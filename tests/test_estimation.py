@@ -616,7 +616,38 @@ class TestCohortCsv:
         serial = _outcome(load_cohort, path)
         forks = _force_parts(monkeypatch, 3)
         assert _outcome(load_cohort, path) == serial
-        assert len(forks) == 3  # the parent parses no part of its own
+        assert len(forks) == 2  # the parent parses the first part itself
+
+    def test_one_part_forks_nothing(self, tmp_path, monkeypatch):
+        """A one-part save and load fork no child and give the bytes and
+        arrays of a three-part run."""
+        cohort = generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0]
+        single, split = tmp_path / "single.csv", tmp_path / "split.csv"
+        with monkeypatch.context() as patch:
+            forks = _force_parts(patch, 3)
+            save_cohort(cohort, split)
+            expected = _outcome(load_cohort, split)
+            assert len(forks) == 4
+        forks = _force_parts(monkeypatch, 1)
+        save_cohort(cohort, single)
+        assert single.read_bytes() == split.read_bytes()
+        assert _outcome(load_cohort, single) == expected
+        assert forks == []
+
+    def test_unplain_first_part_takes_the_row_reader(self, tmp_path, monkeypatch):
+        """A quoted id in the parent's own part, and plain parts in the
+        children: the row reader's cohort, and no child left unreaped."""
+        cohort = generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0]
+        ids = ("p,0", *cohort.ids[1:])
+        path = tmp_path / "cohort.csv"
+        save_cohort(Cohort(ids, cohort.e, cohort.t, cohort.los, cohort.event, cohort.z), path)
+        expected = _outcome(estimation._load_rows, path)
+        assert expected[0] == ids
+        forks = _force_parts(monkeypatch, 3)
+        assert _outcome(load_cohort, path) == expected
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("direction", ["save", "load"])
     def test_failed_child_falls_back_and_is_reaped(self, tmp_path, monkeypatch, direction):
@@ -629,7 +660,7 @@ class TestCohortCsv:
         else:
             expected = _outcome(estimation._load_rows, path)
         parent = os.getpid()
-        name = "_row_blocks" if direction == "save" else "_plain_table"
+        name = "_row_blocks" if direction == "save" else "_plain_part"
         work = getattr(estimation, name)
 
         def fails_in_a_child(*args):
@@ -645,7 +676,7 @@ class TestCohortCsv:
             assert path.read_bytes() == expected
         else:
             assert _outcome(load_cohort, path) == expected
-        assert len(forks) == (1 if direction == "save" else 2)
+        assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
