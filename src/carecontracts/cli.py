@@ -9,6 +9,7 @@ states the exit codes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -205,14 +206,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     if args.fixture:
         fixture_path = Path(args.fixture)
         cohort = estimation.load_cohort(args.fixture)
+        saving = contextlib.nullcontext()
     else:
         fixture_path = outdir / "cohort.csv"
         cohort, _ = synthetic.generate_cohort(spec, args.fixture_seed)
-        estimation.save_cohort(cohort, fixture_path)
-
-    result, comparison, report = synthetic.reproduce_case_study(
-        cohort, spec, args.sim_n, args.seed
-    )
+        saving = estimation.saving_cohort(cohort, fixture_path)
+    with saving:  # forked children format the CSV while the case study runs
+        result, comparison, report = synthetic.reproduce_case_study(
+            cohort, spec, args.sim_n, args.seed
+        )
     dump_params(result.params, outdir / "params.json")
     simulation.export_report_csv(list(comparison.reports), outdir / "policy_comparison.csv")
     report["fixture"] = str(fixture_path)

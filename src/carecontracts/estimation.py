@@ -24,10 +24,11 @@ import logging
 import math
 import os
 import re
+import signal
 import threading
 import warnings
 from array import array
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice, repeat
@@ -183,8 +184,10 @@ def _forked(jobs):
     """Run each of ``jobs`` in a forked child; yield, in order, a binary
     stream of the buffers each job returned.
 
-    Every child is reaped on the way out. A child that did not exit 0 then
-    raises ChildProcessError, so that the caller can take its serial path.
+    Every child is reaped on the way out. Should the ``with`` body raise,
+    the children are killed first, since their results are not wanted; a
+    child that did not exit 0 then raises ChildProcessError, so that the
+    caller can take its serial path.
     """
     streams, pids = [], []
     try:
@@ -203,6 +206,10 @@ def _forked(jobs):
             finally:
                 os.close(write_end)
         yield streams
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         for stream in streams:  # first, so that a child blocked on a full pipe ends
             stream.close()
@@ -394,33 +401,46 @@ def _csv_field(text: str) -> str:
 
 
 def save_cohort(cohort: Cohort, path: str | Path) -> None:
-    """Write ``cohort`` as CSV; floats use ``%.17g`` and so load back exactly.
+    """Write ``cohort`` as CSV: ``saving_cohort`` with nothing to overlap."""
+    with saving_cohort(cohort, path):
+        pass
 
-    Forked children format every part of the rows but the first (see
-    ``_part_count``), which the parent writes meanwhile; it then copies
-    theirs in. Should a fork or a child fail, the file is written again
-    serially.
+
+@contextmanager
+def saving_cohort(cohort: Cohort, path: str | Path):
+    """Write ``cohort`` as CSV while the ``with`` body runs; floats use
+    ``%.17g`` and so load back exactly.
+
+    On entry a forked child starts to format each part of the rows (see
+    ``_part_count``). On exit, also when the body raised, the parent writes
+    the header and copies the parts in, in order. With one part, a failed
+    fork or a failed child, the parent writes the rows itself on exit.
     """
     p = cohort.z.shape[1]
     header = (",".join(_header(p)) + "\r\n").encode()
     blocks = partial(_row_blocks, cohort, "%s,%d,%d,%.17g,%d" + ",%.17g" * p)
     parts = _part_count(len(cohort))
     cuts = [len(cohort) * k // parts for k in range(parts + 1)]
-    jobs = [partial(list, blocks(start, stop)) for start, stop in zip(cuts[1:], cuts[2:])]
-    with open(path, "wb") as fh:
+    jobs = [partial(list, blocks(start, stop)) for start, stop in zip(cuts, cuts[1:])]
+    with open(path, "wb") as fh, ExitStack() as children:
         try:
-            with _forked(jobs) as streams:
-                fh.write(header)
-                fh.writelines(blocks(0, cuts[1]))
-                for stream in streams:
-                    while block := stream.read(_READ_HINT):
-                        fh.write(block)
-            return
-        except OSError:  # a failed fork or child
-            fh.seek(0)
-            fh.truncate()
-        fh.write(header)
-        fh.writelines(blocks(0, len(cohort)))
+            streams = children.enter_context(_forked(jobs if parts > 1 else []))
+        except OSError:  # a failed fork
+            streams = []
+        try:
+            yield
+        finally:
+            fh.write(header)
+            try:
+                with children:  # reaps the children, never killed for the body's exception
+                    for stream in streams:
+                        while block := stream.read(_READ_HINT):
+                            fh.write(block)
+            except OSError:  # a failed child
+                streams = []
+                fh.truncate(fh.seek(len(header)))
+            if not streams:
+                fh.writelines(blocks(0, len(cohort)))
 
 
 def _row_blocks(cohort: Cohort, row: str, start: int, stop: int):
@@ -458,11 +478,11 @@ class PropensityModel:
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    expo = np.exp(eta[~pos])
-    out[~pos] = expo / (1.0 + expo)
+    """``1 / (1 + exp(-eta))``, with ``exp`` only of non-positive numbers."""
+    e = np.exp(-np.abs(eta))
+    out = np.where(eta >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,3 +31,41 @@ def bundled_pipeline(bundled_cohort):
     spec, cohort, truth = bundled_cohort
     result = estimation.run_pipeline(cohort, estimation.PipelineConfig())
     return spec, truth, result
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process running or unreaped: the
+    cohort CSV children live through the ``with`` body of a save."""
+    yield
+    if not hasattr(os, "WNOHANG"):
+        return
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"a child process was left behind (pid {pid}, 0 if still running)")
+
+
+@pytest.fixture(scope="session")
+def force_parts():
+    """``force(monkeypatch, cpus)`` lets cohort CSV I/O fork up to ``cpus``
+    parts of at least 2 rows, and returns the list that collects the pid of
+    every child forked. Session-scoped, so that hypothesis tests can use it."""
+
+    def force(monkeypatch, cpus):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(estimation, "_WRITE_CHUNK", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    return force

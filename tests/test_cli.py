@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carecontracts import cli, solvers
-from carecontracts.cli import build_parser, main
+from carecontracts import cli, estimation, solvers
+from carecontracts.cli import DEFAULT_SEED, build_parser, main
 from carecontracts.domain import ModelParams, dump_params, write_json
+from carecontracts.errors import EstimationError
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
 from carecontracts.estimation import Cohort, save_cohort
 from carecontracts.solvers import solve_risk_averse
@@ -556,6 +557,70 @@ class TestReproduceCommand:
             assert flags["matched"] is False
             assert flags["pure-low"] is False
         assert verdict_sets[0] == verdict_sets[1]
+
+    @staticmethod
+    def _one_part_bytes(tmp_path, force_parts, n):
+        """``cohort.csv`` of ``reproduce --n n`` as a one-part save writes it."""
+        path = tmp_path / "one-part.csv"
+        with pytest.MonkeyPatch.context() as patch:
+            force_parts(patch, 1)
+            save_cohort(generate_cohort(SyntheticCohortSpec(n=n), DEFAULT_SEED)[0], path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_cohort_csv_is_the_one_part_bytes(
+        self, tmp_path, capsys, monkeypatch, force_parts, parts
+    ):
+        expected = self._one_part_bytes(tmp_path, force_parts, 3000)
+        forks = force_parts(monkeypatch, parts)
+        out = tmp_path / "repro"
+        # a small cohort misses some 0.02 verdicts, so the exit code is 1
+        assert main(["reproduce", "--out", str(out), "--n", "3000", "--sim-n", "1000"]) == 1
+        assert (out / "cohort.csv").read_bytes() == expected
+        assert len(forks) == (parts if parts > 1 else 0)
+
+    def test_csv_children_are_forked_before_the_estimate(
+        self, tmp_path, capsys, monkeypatch, force_parts
+    ):
+        """Both parts are a child's, and the parent has written nothing yet."""
+        forks = force_parts(monkeypatch, 2)
+        at_start = []
+        run_pipeline = cli.synthetic.run_pipeline
+
+        def counted_run_pipeline(*args):
+            at_start.append((len(forks), (tmp_path / "cohort.csv").stat().st_size))
+            return run_pipeline(*args)
+
+        monkeypatch.setattr(cli.synthetic, "run_pipeline", counted_run_pipeline)
+        assert main(["reproduce", "--out", str(tmp_path), "--n", "3000", "--sim-n", "1000"]) == 1
+        assert at_start == [(2, 0)]
+
+    @pytest.mark.parametrize("child", ["works", "fails"])
+    def test_failed_estimate_exits_1_with_a_whole_cohort_csv(
+        self, tmp_path, capsys, monkeypatch, force_parts, child
+    ):
+        """Also when a CSV child fails, which leaves the serial bytes."""
+        expected = self._one_part_bytes(tmp_path, force_parts, 3000)
+        force_parts(monkeypatch, 2)
+        if child == "fails":
+            parent, work = os.getpid(), estimation._row_blocks
+
+            def fails_in_a_child(*args):
+                if os.getpid() != parent:
+                    raise RuntimeError("worker failure")
+                return work(*args)
+
+            monkeypatch.setattr(estimation, "_row_blocks", fails_in_a_child)
+
+        def run_pipeline(*args):
+            raise EstimationError("planted estimate failure")
+
+        monkeypatch.setattr(cli.synthetic, "run_pipeline", run_pipeline)
+        out = tmp_path / "repro"
+        assert main(["reproduce", "--out", str(out), "--n", "3000"]) == 1
+        assert "error: planted estimate failure" in capsys.readouterr().err
+        assert (out / "cohort.csv").read_bytes() == expected
+        assert not (out / "report.json").exists()
 
     def test_sim_n_beyond_memory_exits_2_before_generating(self, tmp_path, capsys, monkeypatch):
         def generate_cohort(*args, **kwargs):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -114,6 +115,22 @@ class TestFitPropensity:
         z = rng.normal(size=(200, 2))
         with pytest.raises(SeparationError):
             fit_propensity(make_cohort(z, (z[:, 0] > 0).astype(int)))
+
+    @pytest.mark.parametrize(
+        "eta",
+        [
+            np.array([0.0, -0.0, 700.0, -700.0, 800.0, -800.0]),
+            np.random.default_rng(3).normal(scale=20.0, size=10_001),
+            np.random.default_rng(4).uniform(-1e3, 1e3, size=10_000),
+        ],
+    )
+    def test_sigmoid_gives_the_bits_of_the_masked_formula(self, eta):
+        masked = np.empty_like(eta)
+        pos = eta >= 0
+        masked[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+        expo = np.exp(eta[~pos])
+        masked[~pos] = expo / (1.0 + expo)
+        assert estimation._sigmoid(eta).tobytes() == masked.tobytes()
 
 
 class TestMatching:
@@ -486,24 +503,6 @@ class TestCohort:
             Cohort(**{**ok, "t": [1.5, 2.0]})
 
 
-def _force_parts(monkeypatch, cpus):
-    """Let cohort CSV I/O fork up to ``cpus`` parts of at least 2 rows; the
-    returned list collects the pid of every child forked."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
-
-    monkeypatch.setattr(estimation, "_WRITE_CHUNK", 2)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
 def _write_rows(path, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -588,7 +587,9 @@ class TestCohortCsv:
             assert np.array_equal(getattr(loaded, column), getattr(cohort, column))
 
     @pytest.mark.parametrize("parts", [2, 3])
-    def test_forked_save_writes_the_serial_bytes(self, tmp_path, rng, monkeypatch, parts):
+    def test_forked_save_writes_the_serial_bytes(
+        self, tmp_path, rng, monkeypatch, force_parts, parts
+    ):
         """Quoted and non-ASCII ids on both sides of every part boundary."""
         n = 12
         ids = [f"p{i}" for i in range(n)]
@@ -604,53 +605,57 @@ class TestCohortCsv:
         )
         serial, forked = tmp_path / "serial.csv", tmp_path / "forked.csv"
         save_cohort(cohort, serial)
-        forks = _force_parts(monkeypatch, parts)
+        forks = force_parts(monkeypatch, parts)
         save_cohort(cohort, forked)
-        assert len(forks) == parts - 1
+        assert len(forks) == parts  # the parent formats no part
         assert forked.read_bytes() == serial.read_bytes()
         assert load_cohort(forked).ids == cohort.ids
 
-    def test_forked_load_gives_the_serial_cohort(self, tmp_path, monkeypatch):
+    def test_forked_load_gives_the_serial_cohort(self, tmp_path, monkeypatch, force_parts):
         path = tmp_path / "cohort.csv"
         save_cohort(generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0], path)
         serial = _outcome(load_cohort, path)
-        forks = _force_parts(monkeypatch, 3)
+        forks = force_parts(monkeypatch, 3)
         assert _outcome(load_cohort, path) == serial
         assert len(forks) == 2  # the parent parses the first part itself
 
-    def test_one_part_forks_nothing(self, tmp_path, monkeypatch):
+    def test_one_part_forks_nothing(self, tmp_path, monkeypatch, force_parts):
         """A one-part save and load fork no child and give the bytes and
         arrays of a three-part run."""
         cohort = generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0]
         single, split = tmp_path / "single.csv", tmp_path / "split.csv"
         with monkeypatch.context() as patch:
-            forks = _force_parts(patch, 3)
+            forks = force_parts(patch, 3)
             save_cohort(cohort, split)
             expected = _outcome(load_cohort, split)
-            assert len(forks) == 4
-        forks = _force_parts(monkeypatch, 1)
+            assert len(forks) == 3 + 2
+        forks = force_parts(monkeypatch, 1)
         save_cohort(cohort, single)
         assert single.read_bytes() == split.read_bytes()
         assert _outcome(load_cohort, single) == expected
         assert forks == []
 
-    def test_unplain_first_part_takes_the_row_reader(self, tmp_path, monkeypatch):
-        """A quoted id in the parent's own part, and plain parts in the
-        children: the row reader's cohort, and no child left unreaped."""
+    def test_unplain_first_part_takes_the_row_reader(self, tmp_path, monkeypatch, force_parts):
+        """A quoted id in the parent's own part takes the row reader at once,
+        without waiting for children that would parse for a minute, and
+        leaves no child unreaped."""
         cohort = generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0]
         ids = ("p,0", *cohort.ids[1:])
         path = tmp_path / "cohort.csv"
         save_cohort(Cohort(ids, cohort.e, cohort.t, cohort.los, cohort.event, cohort.z), path)
         expected = _outcome(estimation._load_rows, path)
         assert expected[0] == ids
-        forks = _force_parts(monkeypatch, 3)
+        forks = force_parts(monkeypatch, 3)
+        monkeypatch.setattr(estimation, "_sent_part", lambda *args: time.sleep(60))
+        started = time.monotonic()
         assert _outcome(load_cohort, path) == expected
+        assert time.monotonic() - started < 30
         assert len(forks) == 2
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("direction", ["save", "load"])
-    def test_failed_child_falls_back_and_is_reaped(self, tmp_path, monkeypatch, direction):
+    def test_failed_child_falls_back_and_is_reaped(
+        self, tmp_path, monkeypatch, force_parts, direction
+    ):
         """A child that raises leaves the serial result, and no child behind."""
         path = tmp_path / "cohort.csv"
         cohort = generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0]
@@ -668,7 +673,7 @@ class TestCohortCsv:
                 raise RuntimeError("worker failure")
             return work(*args)
 
-        forks = _force_parts(monkeypatch, 2)
+        forks = force_parts(monkeypatch, 2)
         monkeypatch.setattr(estimation, name, fails_in_a_child)
         if direction == "save":
             path.unlink()
@@ -676,9 +681,20 @@ class TestCohortCsv:
             assert path.read_bytes() == expected
         else:
             assert _outcome(load_cohort, path) == expected
-        assert len(forks) == 1
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert len(forks) == (2 if direction == "save" else 1)
+
+    def test_body_that_raises_still_completes_the_write(self, tmp_path, monkeypatch, force_parts):
+        """The file is whole before the body's exception goes on, and no
+        child is left behind; ``reproduce`` tests a failed child as well."""
+        cohort = generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0]
+        serial, path = tmp_path / "serial.csv", tmp_path / "cohort.csv"
+        save_cohort(cohort, serial)
+        forks = force_parts(monkeypatch, 3)
+        with pytest.raises(KeyError, match="the body"):
+            with estimation.saving_cohort(cohort, path):
+                assert len(forks) == 3  # every part is a child's while the body runs
+                raise KeyError("the body")
+        assert path.read_bytes() == serial.read_bytes()
 
     def test_integer_overflow_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -810,10 +826,10 @@ def test_single_field_mutation_loads_or_names_its_line(row, field, text, layout)
 @example(row=20, field=2, text="5", layout="no-final-newline")
 @example(row=3, field=0, text="p01", layout="crlf")
 @example(row=18, field=5, text="x", layout="lf")
-def test_single_field_mutation_in_forked_parts(row, field, text, layout):
+def test_single_field_mutation_in_forked_parts(force_parts, row, field, text, layout):
     """The same, with the 20 rows split over three forked parts."""
     with pytest.MonkeyPatch.context() as monkeypatch:
-        _force_parts(monkeypatch, 3)
+        force_parts(monkeypatch, 3)
         _check_single_field_mutation(row, field, text, layout)
 
 
