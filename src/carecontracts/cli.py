@@ -51,6 +51,7 @@ DEFAULT_SEED = 13
 # --- solve ----------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")  # an overflow is named by its flag before the write
 def _cmd_solve(args: argparse.Namespace) -> int:
     if not math.isfinite(args.p11):
         raise ValueError(f"--p11 must be finite, got {args.p11}")
@@ -112,8 +113,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     payload["expected_payment"] = certificate.expected_payment
     payload["expected_payment_dollars"] = dollars(payload["expected_payment"], f_dollars)
     payload["certificate"] = asdict(certificate)
+    # Of the flags, only a large --p11 can take a value in F units out of range.
+    if not _finite({key: value for key, value in payload.items() if not key.endswith("_dollars")}):
+        raise ValueError(f"--p11 must keep the contract finite, got {args.p11}")
+    if not _finite(payload):
+        raise ValueError(f"--f-dollars must keep every dollar amount finite, got {args.f_dollars}")
     write_json(payload, args.out)
     return 0
+
+
+def _finite(value) -> bool:
+    """Whether a JSON-bound value holds no NaN and no infinity."""
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 # --- estimate -------------------------------------------------------------------
@@ -277,7 +292,7 @@ def _draws(text: str) -> int:
 def _transform(text: str) -> UtilityTransform:
     try:
         return UtilityTransform.parse(text)
-    except ValueError as exc:  # InvalidTransformError, or a bad power:<a>
+    except ValueError as exc:  # a transform that fails its probes, or a bad power:<a>
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import AssumptionViolationError, InvalidParamsError, ParamsFormatError
+from .errors import InvalidParamsError, ParamsFormatError
 
 # Probabilities are kept strictly inside (0, 1) by this guard so downstream
 # closed forms never divide by zero.
@@ -151,7 +151,7 @@ def require_distinct_benefit(params: ModelParams) -> None:
     degenerate vertex.
     """
     if abs(params.distinct_benefit_margin()) <= 1e-12:
-        raise AssumptionViolationError(
+        raise InvalidParamsError(
             "pi01*pi10 == pi00*pi11: responder benefit is identical at both "
             "expenditure levels, the payment family is degenerate"
         )

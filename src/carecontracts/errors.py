@@ -8,6 +8,23 @@ format. Any other I/O error (``OSError``) or bad value (``ValueError``,
 an out-of-range flag, say) exits 2, as does a command-line usage error
 and a size too large for the memory free at run time (``MemoryError``;
 the parser rejects a draw count beyond physical memory).
+
+A class exists only when code outside the tests catches it, when it
+sets an exit code or stores an attribute, or when it is the base of such
+a class; a failure kind within a class (separated propensity data, a
+transform that fails its probes, a degenerate payment system) is named
+by its message:
+
+- ``CareContractsError``: the base, which ``cli.main`` catches;
+- ``InvalidParamsError``: bad parameter values, transforms and solver
+  inputs, and broken solver assumptions; a ``ValueError``, which the
+  parser's argument types catch;
+- ``ParamsFormatError`` and ``CohortFormatError``: a file that breaks
+  its format (exit 2);
+- ``NumericalError``, a routine outside its accuracy envelope, and its
+  ``SingularMatrixError``, which the fits and ``solve_risk_averse`` catch;
+- ``EstimationError``: a failed fit or match, which ``run_pipeline``
+  catches to tag it with its stage as a ``StageError``.
 """
 
 
@@ -18,25 +35,14 @@ class CareContractsError(Exception):
 
 
 class InvalidParamsError(CareContractsError, ValueError):
-    """Model parameters violate a range or ordering requirement."""
+    """A parameter, transform or solver input is out of range, or a solver
+    assumption on the outcome probabilities fails."""
 
 
 class ParamsFormatError(InvalidParamsError):
     """A JSON input file is not JSON, misses a key or has a field of the wrong type."""
 
     exit_code = 2
-
-
-class AssumptionViolationError(CareContractsError):
-    """A solver precondition on the outcome probabilities fails."""
-
-
-class DegenerateSystemError(CareContractsError):
-    """The reduced payment system has no usable solution (rank/denominator)."""
-
-
-class InvalidTransformError(CareContractsError, ValueError):
-    """A provider utility transform fails its bijectivity/concavity probes."""
 
 
 class NumericalError(CareContractsError):
@@ -47,32 +53,9 @@ class SingularMatrixError(NumericalError):
     """Pivot below tolerance in a direct linear solve."""
 
 
-class EnumerationTooLargeError(CareContractsError, ValueError):
-    """Basis enumeration over more variables than the oracle accepts."""
-
-
 class EstimationError(CareContractsError):
-    """Base class for estimation-pipeline failures."""
-
-
-class SeparationError(EstimationError):
-    """Fitted propensity scores collapsed onto 0/1 (perfect separation)."""
-
-
-class CollinearCovariatesError(EstimationError):
-    """Design matrix is rank deficient (includes flat covariates)."""
-
-
-class ConvergenceError(EstimationError):
-    """An iterative fit did not converge within its iteration budget."""
-
-
-class MonotoneLikelihoodError(ConvergenceError):
-    """Cox coefficients diverge (partial likelihood has no finite maximum)."""
-
-
-class InsufficientControlsError(EstimationError):
-    """Fewer controls than treated and no caliper to drop treated."""
+    """An estimation step failed: bad input, separation, collinearity,
+    divergence or no convergence, or too few controls to match."""
 
 
 class CohortFormatError(CareContractsError, ValueError):
@@ -82,9 +65,9 @@ class CohortFormatError(CareContractsError, ValueError):
 
 
 class StageError(EstimationError):
-    """Pipeline failure tagged with the stage that raised it."""
+    """Pipeline failure tagged with the stage that raised it; the failure
+    itself is the ``__cause__``."""
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
-        self.cause = cause

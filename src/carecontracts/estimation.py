@@ -41,12 +41,7 @@ import numpy as np
 from .domain import ModelParams, freeze
 from .errors import (
     CohortFormatError,
-    CollinearCovariatesError,
-    ConvergenceError,
     EstimationError,
-    InsufficientControlsError,
-    MonotoneLikelihoodError,
-    SeparationError,
     SingularMatrixError,
     StageError,
 )
@@ -504,7 +499,7 @@ def fit_propensity(cohort: Cohort) -> PropensityModel:
     for iteration in range(1, MAX_ITER + 1):
         prob = _sigmoid(x @ beta)
         if np.any(prob <= SEPARATION_BAND) or np.any(prob >= 1.0 - SEPARATION_BAND):
-            raise SeparationError("fitted propensity reached 0/1: data are (quasi-)separated")
+            raise EstimationError("fitted propensity reached 0/1: data are (quasi-)separated")
         score = x.T @ (y - prob)
         score_norm = float(np.max(np.abs(score)))
         weights = prob * (1.0 - prob)
@@ -513,11 +508,11 @@ def fit_propensity(cohort: Cohort) -> PropensityModel:
         try:
             step = solve_linear_system(info, score / n, pivot_tol=1e-10)
         except SingularMatrixError as exc:
-            raise CollinearCovariatesError(f"covariates are collinear: {exc}") from exc
+            raise EstimationError(f"covariates are collinear: {exc}") from exc
         if score_norm <= SCORE_TOL:
             return PropensityModel(coefficients=beta, scores=prob, iterations=iteration - 1)
         beta = beta + step
-    raise ConvergenceError(f"IRLS did not converge in {MAX_ITER} iterations")
+    raise EstimationError(f"IRLS did not converge in {MAX_ITER} iterations")
 
 
 # --- 1-1 propensity matching ----------------------------------------------------
@@ -569,7 +564,7 @@ def match_one_to_one(
     treated = np.flatnonzero(cohort.e == 1)
     controls = np.flatnonzero(cohort.e == 0)
     if caliper is None and len(controls) < len(treated):
-        raise InsufficientControlsError(
+        raise EstimationError(
             f"{len(controls)} controls for {len(treated)} treated and no caliper"
         )
 
@@ -725,7 +720,7 @@ def fit_cox(group: Cohort) -> CoxFit:
         try:
             direction = solve_linear_system(-hess, grad, pivot_tol=1e-10)
         except SingularMatrixError as exc:
-            raise CollinearCovariatesError(
+            raise EstimationError(
                 f"Cox information matrix is singular (flat or collinear covariate): {exc}"
             ) from exc
         step = 1.0
@@ -736,14 +731,14 @@ def fit_cox(group: Cohort) -> CoxFit:
                 break
             step *= 0.5
         else:
-            raise ConvergenceError("step-halving failed to improve the partial likelihood")
+            raise EstimationError("step-halving failed to improve the partial likelihood")
         beta, ll, grad, hess = candidate, cand_ll, cand_grad, cand_hess
         trace.append(ll)
         if float(np.max(np.abs(beta))) > DIVERGENT_BETA:
-            raise MonotoneLikelihoodError(
+            raise EstimationError(
                 "coefficients diverged; the partial likelihood has no finite maximum"
             )
-    raise ConvergenceError(f"Cox fit did not converge in {MAX_ITER} iterations")
+    raise EstimationError(f"Cox fit did not converge in {MAX_ITER} iterations")
 
 
 # --- response scores ---------------------------------------------------------

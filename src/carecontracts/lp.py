@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import freeze
-from .errors import EnumerationTooLargeError, NumericalError, SingularMatrixError
+from .errors import InvalidParamsError, NumericalError, SingularMatrixError
 
 PRIMAL_TOL = 1e-10
 DUAL_TOL = 1e-9
@@ -131,7 +131,7 @@ def enumerate_basic_points(lp: StandardFormLP) -> list[BasicPoint]:
     """
     m, n = lp.eq_matrix.shape
     if n > MAX_VARIABLES:
-        raise EnumerationTooLargeError(f"enumeration limited to {MAX_VARIABLES} variables, got {n}")
+        raise InvalidParamsError(f"enumeration limited to {MAX_VARIABLES} variables, got {n}")
 
     a, b, c = lp.eq_matrix, lp.eq_rhs, lp.objective
     bases = np.array(list(itertools.combinations(range(n), m)), dtype=np.intp)

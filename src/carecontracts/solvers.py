@@ -31,12 +31,7 @@ from .domain import (
     require_ordering,
     survival_summary,
 )
-from .errors import (
-    DegenerateSystemError,
-    InvalidTransformError,
-    NumericalError,
-    SingularMatrixError,
-)
+from .errors import InvalidParamsError, NumericalError, SingularMatrixError
 from .lp import StandardFormLP, solve_linear_system, solve_lp
 
 FEASIBILITY_TOL = 1e-9
@@ -105,11 +100,11 @@ def solve_free_payment(params: ModelParams, p11: float = 1.0) -> FreePaymentSolu
     """
     cert = check_binding_solvability(params)
     if not cert.solvable:
-        raise DegenerateSystemError(
+        raise InvalidParamsError(
             f"binding system unsolvable: uniform-high survival s1={cert.s1:.6f} is not < 1"
         )
     if params.pi10 - params.pi00 <= 1e-12:
-        raise DegenerateSystemError("pi10 == pi00: free-payment family denominator vanishes")
+        raise InvalidParamsError("pi10 == pi00: free-payment family denominator vanishes")
 
     pi00, pi01, pi10, pi11 = params.pi00, params.pi01, params.pi10, params.pi11
     g = params.gamma
@@ -253,32 +248,32 @@ class UtilityTransform:
         x = np.linspace(0.0, PROBE_UPPER, 64)
         fx = np.asarray(self.forward(x), dtype=float)
         if not np.all(np.isfinite(fx)):
-            raise InvalidTransformError("transform produced non-finite values on the probe grid")
+            raise InvalidParamsError("transform produced non-finite values on the probe grid")
         if abs(float(fx[0])) > 1e-9:
-            raise InvalidTransformError(f"g(0) = {fx[0]!r}, expected 0 for a bijection of [0, inf)")
+            raise InvalidParamsError(f"g(0) = {fx[0]!r}, expected 0 for a bijection of [0, inf)")
         if np.any(np.diff(fx) <= 0):
-            raise InvalidTransformError("transform is not strictly increasing on the probe grid")
+            raise InvalidParamsError("transform is not strictly increasing on the probe grid")
         if np.any(fx[1:] <= 0):
-            raise InvalidTransformError("transform is not positive for positive arguments")
+            raise InvalidParamsError("transform is not positive for positive arguments")
         # midpoint concavity on consecutive grid triples
         if np.any(fx[1:-1] < 0.5 * (fx[:-2] + fx[2:]) - 1e-9):
-            raise InvalidTransformError("transform fails midpoint concavity on the probe grid")
+            raise InvalidParamsError("transform fails midpoint concavity on the probe grid")
         back = np.asarray(self.inverse(fx), dtype=float)
         if np.max(np.abs(back - x)) > 1e-10 * PROBE_UPPER:
-            raise InvalidTransformError("inverse(g(x)) deviates from x beyond 1e-10 on the grid")
+            raise InvalidParamsError("inverse(g(x)) deviates from x beyond 1e-10 on the grid")
         # slope of the inverse vs central differences, away from the endpoints
         y = np.asarray(self.forward(x[1:-1]), dtype=float)
         h = 1e-6
         fd = (np.asarray(self.inverse(y + h)) - np.asarray(self.inverse(y - h))) / (2 * h)
         slope = np.asarray(self.inverse_derivative(y), dtype=float)
         if np.max(np.abs(slope - fd) / np.maximum(1.0, np.abs(fd))) > 1e-4:
-            raise InvalidTransformError("inverse_derivative disagrees with finite differences")
+            raise InvalidParamsError("inverse_derivative disagrees with finite differences")
 
     @classmethod
     def power(cls, exponent: float) -> "UtilityTransform":
         """g(x) = x**a for a in (0, 1]; a = 1 is the risk-neutral boundary."""
         if not (0.0 < exponent <= 1.0):
-            raise InvalidTransformError(f"power exponent {exponent!r} must lie in (0, 1]")
+            raise InvalidParamsError(f"power exponent {exponent!r} must lie in (0, 1]")
         inv_exp = 1.0 / exponent
         return cls(
             name=f"power:{exponent:g}",
@@ -304,7 +299,7 @@ class UtilityTransform:
             return cls.log()
         if spec.startswith("power:"):
             return cls.power(float(spec.split(":", 1)[1]))
-        raise InvalidTransformError(f"unknown transform spec {spec!r}")
+        raise InvalidParamsError(f"unknown transform spec {spec!r}")
 
 
 @dataclass(frozen=True)
@@ -470,7 +465,7 @@ def verify_contract(
     utility = p
     if model == "risk-averse":
         if g is None:
-            raise InvalidTransformError("risk-averse verification needs a utility transform")
+            raise InvalidParamsError("risk-averse verification needs a utility transform")
         utility = np.asarray(g.forward(np.maximum(p, 0.0)), dtype=float)
     constraints = [
         status("treat-good-responders", float(system.c1 @ utility), system.b1),

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carecontracts import cli, estimation, solvers
+from carecontracts import cli, errors, estimation, solvers
 from carecontracts.cli import DEFAULT_SEED, build_parser, main
 from carecontracts.domain import ModelParams, dump_params, write_json
 from carecontracts.errors import EstimationError
@@ -75,6 +75,11 @@ class TestSolveCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["contract"]["p00"] == pytest.approx(-1.2602, abs=1e-4)
         assert data["sensitivity"]["dp01_dp11"] == pytest.approx(-3.8544, abs=1e-4)
+
+    def test_large_finite_p11(self, params_file, capsys, recwarn):
+        assert main(["solve", "--model", "free", "--params", str(params_file), "--p11", "1e150"]) == 0
+        assert json.loads(capsys.readouterr().out)["contract"]["p11"] == 1e150
+        assert not recwarn.list
 
     def test_risk_averse_model(self, params_file, capsys):
         assert (
@@ -376,6 +381,14 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         (_SOLVE_FREE + ["--f-dollars", "inf"], None, 2, "--f-dollars must be finite and positive"),
         (_SOLVE_FREE + ["--f-dollars", "-1"], None, 2, "--f-dollars must be finite and positive"),
         (_SOLVE_FREE + ["--f-dollars", "0"], None, 2, "--f-dollars must be finite and positive"),
+        (_SOLVE_FREE + ["--p11", "1e200"], None, 2, "--p11 must keep the contract finite, got 1e+200"),
+        (_SOLVE_FREE + ["--p11", "1e308"], None, 2, "--p11 must keep the contract finite, got 1e+308"),
+        (
+            ["solve", "--model", "nonneg", "--params", "{params}", "--f-dollars", "1.7e308"],
+            None,
+            2,
+            "--f-dollars must keep every dollar amount finite, got 1.7e+308",
+        ),
         (_ESTIMATE + ["--caliper", "nan"], None, 2, "caliper must be finite and at least 0"),
         (_ESTIMATE + ["--caliper", "-1"], None, 2, "caliper must be finite and at least 0"),
         (_ESTIMATE + ["--caliper", "abc"], None, 2, "argument --caliper: expected a number or 'none'"),
@@ -426,6 +439,9 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         "f-dollars-inf",
         "f-dollars-negative",
         "f-dollars-zero",
+        "p11-overflows-certificate",
+        "p11-overflows-contract",
+        "f-dollars-overflows-dollars",
         "caliper-nan",
         "caliper-negative",
         "caliper-not-a-number",
@@ -480,6 +496,37 @@ def test_cli_import_loads_no_process_pool():
         check=True,
     )
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (errors.CareContractsError("base"), 1),
+        (errors.InvalidParamsError("bad value"), 1),
+        (errors.ParamsFormatError("bad params file"), 2),
+        (errors.CohortFormatError("bad cohort file"), 2),
+        (errors.NumericalError("out of envelope"), 1),
+        (errors.SingularMatrixError("pivot below tolerance"), 1),
+        (errors.EstimationError("fit failed"), 1),
+        (errors.StageError("fit_cox_control", errors.EstimationError("fit failed")), 1),
+        (OSError("disk gone"), 2),
+        (ValueError("bad flag"), 2),
+        (MemoryError("too many draws"), 2),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, BaseException) else None,
+)
+def test_exit_code_table(monkeypatch, capsys, exc, code):
+    """Each exception ``main`` catches ends in its documented exit code and
+    one ``error:`` line; ``build_parser`` holds the handler, so a callee raises."""
+
+    def failing_certify(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "certify", failing_certify)
+    assert main(["verify", "--trials", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exc}\n"
 
 
 class TestParserReuse:

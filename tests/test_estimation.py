@@ -15,15 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carecontracts import estimation, synthetic
-from carecontracts.errors import (
-    CohortFormatError,
-    CollinearCovariatesError,
-    EstimationError,
-    InsufficientControlsError,
-    MonotoneLikelihoodError,
-    SeparationError,
-    StageError,
-)
+from carecontracts.errors import CohortFormatError, EstimationError, StageError
 from carecontracts.estimation import (
     Cohort,
     cox_partial_likelihood,
@@ -108,12 +100,12 @@ class TestFitPropensity:
     def test_collinear_covariates_rejected(self, rng):
         z = rng.normal(size=200)
         cohort = make_cohort(np.column_stack([z, 2.0 * z]), (rng.random(200) < 0.5).astype(int))
-        with pytest.raises(CollinearCovariatesError):
+        with pytest.raises(EstimationError, match="covariates are collinear"):
             fit_propensity(cohort)
 
     def test_separated_treatment_rejected(self, rng):
         z = rng.normal(size=(200, 2))
-        with pytest.raises(SeparationError):
+        with pytest.raises(EstimationError, match="separated"):
             fit_propensity(make_cohort(z, (z[:, 0] > 0).astype(int)))
 
     @pytest.mark.parametrize(
@@ -166,7 +158,7 @@ class TestMatching:
 
     def test_insufficient_controls(self):
         cohort = make_cohort(np.zeros((3, 1)), [1, 1, 0])
-        with pytest.raises(InsufficientControlsError):
+        with pytest.raises(EstimationError, match="controls for 2 treated and no caliper"):
             match_one_to_one(cohort, np.array([0.4, 0.5, 0.45]))
 
     def test_tie_rules(self):
@@ -214,7 +206,7 @@ def reference_match(cohort, scores, caliper=None):
     treated = sorted(np.flatnonzero(cohort.e == 1).tolist(), key=lambda i: (-scores[i], i))
     live = np.flatnonzero(cohort.e == 0).tolist()
     if caliper is None and len(live) < len(treated):
-        raise InsufficientControlsError("fewer controls than treated")
+        raise EstimationError("fewer controls than treated and no caliper")
     kept, dropped = [], []
     for ti in treated:
         target = scores[ti]
@@ -253,8 +245,8 @@ def test_matching_agrees_with_full_scan(rows, caliper):
     cohort = make_cohort(np.zeros((len(rows), 1)), e)
     try:
         expected = reference_match(cohort, scores, caliper)
-    except InsufficientControlsError:
-        with pytest.raises(InsufficientControlsError):
+    except EstimationError:
+        with pytest.raises(EstimationError, match="and no caliper"):
             match_one_to_one(cohort, scores, caliper=caliper)
         return
     result = match_one_to_one(cohort, scores, caliper=caliper)
@@ -305,14 +297,14 @@ class TestFitCox:
     def test_flat_covariate_rejected(self, rng):
         z = np.column_stack([np.ones(100), rng.normal(size=100)])
         cohort = make_cohort(z, 0, t=np.arange(100) % 17 + 1)
-        with pytest.raises(CollinearCovariatesError):
+        with pytest.raises(EstimationError, match="Cox information matrix is singular"):
             fit_cox(cohort)
 
     def test_monotone_likelihood_rejected(self, rng):
         """Death order follows z1 exactly, so the partial likelihood has no finite maximum."""
         z = rng.normal(size=(200, 2))
         days = np.argsort(np.argsort(z[:, 0])) + 1
-        with pytest.raises(MonotoneLikelihoodError):
+        with pytest.raises(EstimationError, match="no finite maximum"):
             fit_cox(make_cohort(z, 0, t=days))
 
     def test_gradient_matches_finite_differences(self, rng):
@@ -886,7 +878,7 @@ class TestPipeline:
         with pytest.raises(StageError) as excinfo:
             run_pipeline(cohort)
         assert excinfo.value.stage == "fit_propensity"
-        assert isinstance(excinfo.value.cause, CollinearCovariatesError)
+        assert "covariates are collinear" in str(excinfo.value.__cause__)
 
     def test_deterministic(self, rng):
         spec = SyntheticCohortSpec(n=4000, treated_fraction=0.3)

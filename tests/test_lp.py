@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import carecontracts.lp
 from carecontracts.domain import build_normalized_system
-from carecontracts.errors import EnumerationTooLargeError, NumericalError, SingularMatrixError
+from carecontracts.errors import InvalidParamsError, NumericalError, SingularMatrixError
 from carecontracts.lp import (
     DUAL_TOL,
     PRIMAL_TOL,
@@ -241,7 +241,7 @@ class TestEnumeration:
         assert [p.basis for p in enumerate_basic_points(lp)] == bases
 
     def test_variable_cap(self):
-        with pytest.raises(EnumerationTooLargeError):
+        with pytest.raises(InvalidParamsError, match="enumeration limited to"):
             enumerate_basic_points(
                 StandardFormLP(np.ones(13), np.ones((1, 13)), np.ones(1))
             )

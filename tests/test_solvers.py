@@ -7,11 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carecontracts.domain import Contract, ModelParams, build_normalized_system
-from carecontracts.errors import (
-    AssumptionViolationError,
-    DegenerateSystemError,
-    InvalidTransformError,
-)
+from carecontracts.errors import InvalidParamsError
 from carecontracts import solvers
 from carecontracts.lp import solve_lp
 from carecontracts.solvers import (
@@ -100,12 +96,12 @@ class TestFreePayment:
 
     def test_degenerate_denominator(self):
         params = ModelParams(0.4, 0.6, 0.4, 0.7, 0.5)
-        with pytest.raises(DegenerateSystemError):
+        with pytest.raises(InvalidParamsError, match="denominator vanishes"):
             solve_free_payment(params)
 
     def test_unsolvable_raises(self):
         params = ModelParams(0.2, 0.999999, 0.3, 0.999999, 0.5)
-        with pytest.raises(DegenerateSystemError):
+        with pytest.raises(InvalidParamsError, match="binding system unsolvable"):
             solve_free_payment(params)
 
 
@@ -141,7 +137,7 @@ class TestNonNegative:
     def test_equal_benefit_ratio_rejected(self):
         # 0.6 * 0.6 == 0.5 * 0.72 exactly
         params = ModelParams(0.5, 0.6, 0.6, 0.72, 0.5)
-        with pytest.raises(AssumptionViolationError):
+        with pytest.raises(InvalidParamsError, match="responder benefit is identical"):
             solve_non_negative(params)
 
     @given(st.integers(0, 10**6))
@@ -259,7 +255,7 @@ class TestUtilityTransform:
         assert UtilityTransform.power(1.0).name == "power:1"
 
     def test_convex_transform_rejected(self):
-        with pytest.raises(InvalidTransformError, match="midpoint concavity"):
+        with pytest.raises(InvalidParamsError, match="midpoint concavity"):
             UtilityTransform(
                 name="square",
                 forward=lambda x: np.asarray(x) ** 2,
@@ -268,7 +264,7 @@ class TestUtilityTransform:
             )
 
     def test_shifted_transform_rejected(self):
-        with pytest.raises(InvalidTransformError, match="expected 0"):
+        with pytest.raises(InvalidParamsError, match="expected 0"):
             UtilityTransform(
                 name="shifted",
                 forward=lambda x: np.asarray(x) + 1.0,
@@ -277,15 +273,15 @@ class TestUtilityTransform:
             )
 
     def test_replace_is_checked_too(self):
-        with pytest.raises(InvalidTransformError, match="finite differences"):
+        with pytest.raises(InvalidParamsError, match="finite differences"):
             dataclasses.replace(UtilityTransform.log(), inverse_derivative=np.exp2)
 
     def test_parse(self):
         assert UtilityTransform.parse("log").name == "log"
         assert UtilityTransform.parse("power:0.7").name == "power:0.7"
-        with pytest.raises(InvalidTransformError):
+        with pytest.raises(InvalidParamsError, match="unknown transform spec"):
             UtilityTransform.parse("cube")
-        with pytest.raises(InvalidTransformError):
+        with pytest.raises(InvalidParamsError, match="power exponent"):
             UtilityTransform.parse("power:1.5")
 
 
