@@ -13,6 +13,7 @@ import contextlib
 import functools
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -356,6 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--sim-n", type=_draws, default=1_000_000)
     reproduce.set_defaults(handler=_cmd_reproduce)
 
+    # Python 3.11 reads only -<digits>[.<digits>] as a negative number. No option here
+    # looks like one, so "-1e-3" and the like are values too, as in newer releases.
+    for sub in subparsers.choices.values():
+        sub._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

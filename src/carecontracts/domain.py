@@ -8,9 +8,11 @@ survival is Bernoulli(``pi_sj``) in responder status s and expenditure j.
 Payments are expressed in units of the provider's high-expenditure
 disutility F; rendering in dollars is a presentation concern only.
 
-Under the matched assignment rule (good responders treated intensively,
-bad responders palliatively) every contract model reduces to the vectors
-``c0, c1, c2`` and scalars ``b0, b1, b2``:
+A policy is a response map ``(e_bad, e_good)``: the expenditure level an
+observed bad and an observed good responder get. ``AssignmentRule`` names
+the four maps, and expected survival and payment are one per-class sum
+over the map. Under the matched map (0, 1) every contract model reduces
+to the vectors ``c0, c1, c2`` and scalars ``b0, b1, b2``:
 
 * ``c0 . P`` is the expected payment,
 * ``c1 . P >= b1`` makes intensive care the provider's best action on a
@@ -54,11 +56,20 @@ def dollars(value: float, f_dollars: float = DEFAULT_F_DOLLARS) -> float:
 
 
 class AssignmentRule(str, Enum):
-    """Expenditure assignment rules a payer can contemplate."""
+    """Expenditure assignment rules a payer can contemplate, each the name
+    of one response map."""
 
     MATCHED = "matched"
     PURE_HIGH = "pure-high"
     PURE_LOW = "pure-low"
+    INVERSE = "inverse"
+
+    @property
+    def response(self) -> tuple[int, int]:
+        """Expenditure ``(e_bad, e_good)`` for an observed bad / good responder."""
+        return {"matched": (0, 1), "pure-high": (1, 1), "pure-low": (0, 0), "inverse": (1, 0)}[
+            self.value
+        ]
 
 
 def _check_prob(name: str, value: float) -> None:
@@ -218,44 +229,19 @@ def build_normalized_system(params: ModelParams) -> NormalizedSystem:
     return NormalizedSystem(c0=np.array(c0), c1=np.array(c1), c2=np.array(c2))
 
 
-@dataclass(frozen=True)
-class SurvivalSummary:
-    """Population survival under uniform low (s0) / uniform high (s1) care."""
-
-    s0: float
-    s1: float
-
-
-def survival_summary(params: ModelParams) -> SurvivalSummary:
-    g = params.gamma
-    return SurvivalSummary(
-        s0=(1 - g) * params.pi00 + g * params.pi10,
-        s1=(1 - g) * params.pi01 + g * params.pi11,
-    )
-
-
 def expected_survival(params: ModelParams, rule: AssignmentRule | str) -> float:
-    """Expected survival rate when expenditure follows ``rule``."""
-    rule = AssignmentRule(rule)
+    """Expected survival rate when expenditure follows ``rule``'s response map."""
+    e_bad, e_good = AssignmentRule(rule).response
     g = params.gamma
-    if rule is AssignmentRule.MATCHED:
-        return (1 - g) * params.pi00 + g * params.pi11
-    summary = survival_summary(params)
-    return summary.s1 if rule is AssignmentRule.PURE_HIGH else summary.s0
+    return (1 - g) * params.pi(0, e_bad) + g * params.pi(1, e_good)
 
 
-def expected_payment(
-    params: ModelParams, contract: Contract, rule: AssignmentRule | str
-) -> float:
-    """Expected payment per patient when expenditure follows ``rule``."""
-    rule = AssignmentRule(rule)
+def expected_payment(params: ModelParams, contract: Contract, rule: AssignmentRule | str) -> float:
+    """Expected payment per patient when expenditure follows ``rule``'s response map."""
+    e_bad, e_good = AssignmentRule(rule).response
     g = params.gamma
-    if rule is AssignmentRule.MATCHED:
-        system = build_normalized_system(params)
-        return float(system.c0 @ contract.as_array())
-    e = 1 if rule is AssignmentRule.PURE_HIGH else 0
-    bad, good = (provider_expected_payment(params, contract, s, e) for s in (0, 1))
-    return (1 - g) * bad + g * good
+    bad = provider_expected_payment(params, contract, 0, e_bad)
+    return (1 - g) * bad + g * provider_expected_payment(params, contract, 1, e_good)
 
 
 def payer_utility(

@@ -1,9 +1,11 @@
 """Monte Carlo comparison of payment policies.
 
 A population of patients is drawn from the fitted Bernoulli model and
-run through three expenditure policies: matched (treat observed good
-responders intensively), pure high, and pure low. All policies share the
-same patient draws (common random numbers), so ranking noise reflects the
+run through expenditure policies. A policy is a response map
+``(e_bad, e_good)``, the expenditure each observed responder class gets
+(``domain.AssignmentRule``); ``compare_policies`` runs matched (0, 1),
+pure high (1, 1) and pure low (0, 0). All policies share the same
+patient draws (common random numbers), so ranking noise reflects the
 policies rather than the sampling. The draws are not kept: each policy
 draws them again from the same seed, a block at a time, so a run holds
 one n-float payment column. Payments always use the contract's
@@ -92,8 +94,11 @@ def _simulate(
     Each call spawns the same three streams from ``seed`` (status, label,
     outcome), so every policy sees the same patients. The streams fill one
     block buffer in turn, and blocks in sequence draw exactly what one
-    ``random(n)`` call would. Table lookups use flat 2x2 cell numbers
-    ``2 * row + column``, one byte per draw. The one n-long array is the
+    ``random(n)`` call would. The response map is folded into the two
+    lookup tables once per call: cell ``2 * row + o`` holds the survival
+    probability or payment at expenditure ``response[o]`` for observed
+    class ``o``, one byte per draw. The label stream is drawn only when the
+    map is not constant; otherwise ``o`` is 0. The one n-long array is the
     payment column, which also holds each block's scratch until its
     payments are written.
     """
@@ -102,11 +107,11 @@ def _simulate(
     status_rng, label_rng, outcome_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
-    pi_cells = np.array([params.pi00, params.pi01, params.pi10, params.pi11])
-    pay_cells = policy.contract.as_array()
+    response = policy.kind.response
+    pi_cells = np.array([params.pi(s, response[o]) for s in (0, 1) for o in (0, 1)])
+    pay_cells = np.array([policy.contract.payment(q, response[o]) for q in (0, 1) for o in (0, 1)])
     label_cuts = np.array([policy.w1, policy.w0])
-    matched = policy.kind is AssignmentRule.MATCHED
-    high = np.uint8(policy.kind is AssignmentRule.PURE_HIGH)
+    observed = np.uint8(0)
     payments = np.empty(n)
     uniform = np.empty(min(n, _BLOCK))
     survivors = 0
@@ -116,14 +121,14 @@ def _simulate(
         u = uniform[: n - start]
         column = payments[start : start + u.size]
         good = (status_rng.random(out=u) < params.gamma).view(np.uint8)
-        if matched:
+        if response[0] != response[1]:
             # observed good: u >= w0 for a good responder, u < w1 for a bad one
             cuts = np.take(label_cuts, good, out=column, mode="clip")
-            high = (label_rng.random(out=u) < cuts) ^ good
-        thresholds = np.take(pi_cells, good << 1 | high, out=column, mode="clip")
+            observed = (label_rng.random(out=u) < cuts) ^ good
+        thresholds = np.take(pi_cells, good << 1 | observed, out=column, mode="clip")
         survived = outcome_rng.random(out=u) < thresholds
         survivors += int(np.count_nonzero(survived))
-        np.take(pay_cells, survived.view(np.uint8) << 1 | high, out=column, mode="clip")
+        np.take(pay_cells, survived.view(np.uint8) << 1 | observed, out=column, mode="clip")
 
     survival_rate = survivors / n
     mean_payment = float(payments.mean())

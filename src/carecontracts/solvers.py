@@ -22,14 +22,15 @@ from typing import Callable
 import numpy as np
 
 from .domain import (
+    AssignmentRule,
     Contract,
     ModelParams,
     NormalizedSystem,
     build_normalized_system,
+    expected_survival,
     freeze,
     require_distinct_benefit,
     require_ordering,
-    survival_summary,
 )
 from .errors import InvalidParamsError, NumericalError, SingularMatrixError
 from .lp import StandardFormLP, solve_linear_system, solve_lp
@@ -61,7 +62,7 @@ def check_binding_solvability(params: ModelParams) -> SolvabilityCertificate:
     strictly below one; ``SOLVABILITY_MARGIN`` guards the boundary.
     """
     require_ordering(params)
-    s1 = survival_summary(params).s1
+    s1 = expected_survival(params, AssignmentRule.PURE_HIGH)
     return SolvabilityCertificate(solvable=bool(s1 < 1.0 - SOLVABILITY_MARGIN), s1=s1)
 
 
@@ -86,10 +87,11 @@ class FreePaymentSolution:
 
 def free_payment_sensitivity(params: ModelParams) -> np.ndarray:
     """(dp00/dp11, dp01/dp11, dp10/dp11) along the binding family."""
-    s = survival_summary(params)
-    den = (params.pi10 - params.pi00) * (1.0 - s.s1)
+    s0 = expected_survival(params, AssignmentRule.PURE_LOW)
+    s1 = expected_survival(params, AssignmentRule.PURE_HIGH)
+    den = (params.pi10 - params.pi00) * (1.0 - s1)
     spread = params.pi11 - params.pi01
-    return np.array([-spread * s.s0 / den, -s.s1 / (1.0 - s.s1), spread * (1.0 - s.s0) / den])
+    return np.array([-spread * s0 / den, -s1 / (1.0 - s1), spread * (1.0 - s0) / den])
 
 
 def solve_free_payment(params: ModelParams, p11: float = 1.0) -> FreePaymentSolution:
@@ -108,18 +110,19 @@ def solve_free_payment(params: ModelParams, p11: float = 1.0) -> FreePaymentSolu
 
     pi00, pi01, pi10, pi11 = params.pi00, params.pi01, params.pi10, params.pi11
     g = params.gamma
-    s = survival_summary(params)
-    den = (pi10 - pi00) * (1.0 - s.s1)
+    s0 = expected_survival(params, AssignmentRule.PURE_LOW)
+    s1 = expected_survival(params, AssignmentRule.PURE_HIGH)
+    den = (pi10 - pi00) * (1.0 - s1)
     spread = pi11 - pi01
 
     p00 = (
-        -p11 * spread * s.s0
+        -p11 * spread * s0
         + g * (pi00 * pi01 - 2 * pi00 * pi11 + pi00 + pi10 * pi11 - pi10)
         + pi00 * spread
     ) / den
-    p01 = (1.0 - g - p11 * s.s1) / (1.0 - s.s1)
+    p01 = (1.0 - g - p11 * s1) / (1.0 - s1)
     p10 = (
-        p11 * spread * (1.0 - s.s0)
+        p11 * spread * (1.0 - s0)
         + g * (pi00 * pi01 - 2 * pi00 * pi11 + pi00 - pi01 + pi10 * pi11 - pi10 + pi11)
         - (1.0 - pi00) * spread
     ) / den

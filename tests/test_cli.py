@@ -383,6 +383,13 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         (_SOLVE_FREE + ["--f-dollars", "0"], None, 2, "--f-dollars must be finite and positive"),
         (_SOLVE_FREE + ["--p11", "1e200"], None, 2, "--p11 must keep the contract finite, got 1e+200"),
         (_SOLVE_FREE + ["--p11", "1e308"], None, 2, "--p11 must keep the contract finite, got 1e+308"),
+        (_SOLVE_FREE + ["--p11", "-1e200"], None, 2, "--p11 must keep the contract finite, got -1e+200"),
+        (
+            ["solve", "--model", "nonneg", "--params", "{params}", "--t", "-1e-3"],
+            None,
+            2,
+            "family parameter t=-0.001 must lie in [0, 1]",
+        ),
         (
             ["solve", "--model", "nonneg", "--params", "{params}", "--f-dollars", "1.7e308"],
             None,
@@ -441,6 +448,8 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         "f-dollars-zero",
         "p11-overflows-certificate",
         "p11-overflows-contract",
+        "p11-negative-exponent-notation",
+        "t-negative-exponent-notation",
         "f-dollars-overflows-dollars",
         "caliper-nan",
         "caliper-negative",

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carecontracts.domain import (
+    AssignmentRule,
     Contract,
     ModelParams,
     build_normalized_system,
@@ -19,7 +20,6 @@ from carecontracts.domain import (
     payer_utility,
     provider_expected_payment,
     provider_utility,
-    survival_summary,
 )
 from carecontracts.errors import InvalidParamsError
 from carecontracts.synthetic import sample_model_params
@@ -97,19 +97,18 @@ class TestExpectedSurvival:
         assert expected_survival(icp_params, "matched") == pytest.approx(0.6596, abs=1e-12)
         assert expected_survival(icp_params, "pure-high") == pytest.approx(0.7940, abs=1e-12)
         assert expected_survival(icp_params, "pure-low") == pytest.approx(0.5760, abs=1e-12)
+        assert expected_survival(icp_params, "inverse") == pytest.approx(0.7104, abs=1e-12)
 
     def test_degenerate_symmetry(self):
         params = ModelParams(pi00=0.3, pi01=0.3, pi10=0.3, pi11=0.3, gamma=0.7)
-        for rule in ("matched", "pure-high", "pure-low"):
+        for rule in AssignmentRule:
             assert expected_survival(params, rule) == pytest.approx(0.3, abs=1e-12)
 
     def test_s0_s1_monotone_in_gamma(self):
         grid = np.linspace(0.05, 0.95, 50)
-        values = [
-            survival_summary(ModelParams(0.51, 0.75, 0.66, 0.85, g)) for g in grid
-        ]
-        s0 = np.array([v.s0 for v in values])
-        s1 = np.array([v.s1 for v in values])
+        params = [ModelParams(0.51, 0.75, 0.66, 0.85, g) for g in grid]
+        s0 = np.array([expected_survival(p, AssignmentRule.PURE_LOW) for p in params])
+        s1 = np.array([expected_survival(p, AssignmentRule.PURE_HIGH) for p in params])
         assert np.all(np.diff(s0) >= -1e-15)
         assert np.all(np.diff(s1) >= -1e-15)
 

@@ -47,16 +47,19 @@ class TestSimulatePolicy:
         params = sample_model_params(rng)
         contract = max_gap_contract(params)
         n = 50_000
-        analytic = {
-            AssignmentRule.MATCHED: expected_survival(params, "matched"),
-            AssignmentRule.PURE_HIGH: expected_survival(params, "pure-high"),
-            AssignmentRule.PURE_LOW: expected_survival(params, "pure-low"),
-        }
+        analytic = {rule: expected_survival(params, rule) for rule in AssignmentRule}
         for seed in range(20):
             for rule, expected in analytic.items():
                 report = simulate_policy(params, Policy(rule, contract), n=n, seed=seed)
                 bound = 4 * np.sqrt(expected * (1 - expected) / n)
                 assert abs(report.survival_rate - expected) <= bound
+
+    def test_inverse_matches_analytics(self, icp_params):
+        """Bad responders treated intensively and good ones palliatively:
+        (1 - g) * pi01 + g * pi10 = 0.7104 lies inside the 95% interval."""
+        policy = Policy(AssignmentRule.INVERSE, max_gap_contract(icp_params))
+        report = simulate_policy(icp_params, policy, n=1_000_000, seed=13)
+        assert abs(report.survival_rate - 0.7104) <= report.ci95_survival
 
     def test_mean_payment_is_gamma_for_any_family_member(self, rng):
         for _ in range(5):
@@ -204,6 +207,8 @@ class TestComparePolicies:
             (observed_good(w0, w1), np.ones(n, dtype=int), np.zeros(n, dtype=int)),
         ):
             assert_plain(report, expenditure)
+        policy = Policy(AssignmentRule.INVERSE, contract, w0=w0, w1=w1)
+        assert_plain(simulate_policy(icp_params, policy, n=n, seed=8), 1 - observed_good(w0, w1))
         for w0, w1 in ((0.3, 0.05), (0.0, 0.4)):
             policy = Policy(AssignmentRule.MATCHED, contract, w0=w0, w1=w1)
             assert_plain(simulate_policy(icp_params, policy, n=n, seed=8), observed_good(w0, w1))
