@@ -10,9 +10,10 @@ disutility F; rendering in dollars is a presentation concern only.
 
 A policy is a response map ``(e_bad, e_good)``: the expenditure level an
 observed bad and an observed good responder get. ``AssignmentRule`` names
-the four maps, and expected survival and payment are one per-class sum
-over the map. Under the matched map (0, 1) every contract model reduces
-to the vectors ``c0, c1, c2`` and scalars ``b0, b1, b2``:
+the four maps. Expected survival is one per-class sum over the map, and
+every payment coefficient comes from one payment row per (status,
+expenditure) cell. Under the matched map (0, 1) every contract model
+reduces to the vectors ``c0, c1, c2`` and scalars ``b0, b1, b2``:
 
 * ``c0 . P`` is the expected payment,
 * ``c1 . P >= b1`` makes intensive care the provider's best action on a
@@ -214,19 +215,36 @@ class NormalizedSystem:
         return np.array([self.b0, self.b1, self.b2], dtype=float)
 
 
-def build_normalized_system(params: ModelParams) -> NormalizedSystem:
-    """Assemble the reduced constraint system for valid, ordered parameters."""
-    require_ordering(params)
+def _payment_rows(params: ModelParams, cells) -> list[float]:
+    """Coefficients of P in the sum of ``weight`` times the expected payment of
+    cell (status s, expenditure e) over ``cells`` of (weight, s, e), added in
+    order in plain floats. A cell's row is 1 - pi_se at p0e, pi_se at p1e."""
+    row = [0.0, 0.0, 0.0, 0.0]
+    for weight, s, e in cells:
+        pi = params.pi(s, e)
+        row[e] += weight * (1 - pi)
+        row[2 + e] += weight * pi
+    return row
+
+
+def _payment_coefficients(params: ModelParams, response, w0=0.0, w1=0.0) -> list[float]:
+    """Expected-payment coefficients of the map ``response`` when a good
+    responder is observed bad at rate ``w0`` and a bad one good at rate
+    ``w1``: P(status, observed class) times a row, status-major."""
     g = params.gamma
-    c0 = [
-        (1 - g) * (1 - params.pi00),
-        g * (1 - params.pi11),
-        (1 - g) * params.pi00,
-        g * params.pi11,
-    ]
-    c1 = [params.pi10 - 1.0, 1.0 - params.pi11, -params.pi10, params.pi11]
-    c2 = [1.0 - params.pi00, params.pi01 - 1.0, params.pi00, -params.pi01]
-    return NormalizedSystem(c0=np.array(c0), c1=np.array(c1), c2=np.array(c2))
+    shares = ((1 - g) * (1 - w1), (1 - g) * w1, g * w0, g * (1 - w0))
+    return _payment_rows(params, zip(shares, (0, 0, 1, 1), response * 2))
+
+
+def build_normalized_system(params: ModelParams) -> NormalizedSystem:
+    """Assemble the reduced constraint system for valid, ordered parameters:
+    the matched map's payment and each class's incentive as a row difference."""
+    require_ordering(params)
+    return NormalizedSystem(
+        c0=_payment_coefficients(params, AssignmentRule.MATCHED.response),
+        c1=_payment_rows(params, ((1.0, 1, 1), (-1.0, 1, 0))),
+        c2=_payment_rows(params, ((1.0, 0, 0), (-1.0, 0, 1))),
+    )
 
 
 def expected_survival(params: ModelParams, rule: AssignmentRule | str) -> float:
@@ -237,11 +255,10 @@ def expected_survival(params: ModelParams, rule: AssignmentRule | str) -> float:
 
 
 def expected_payment(params: ModelParams, contract: Contract, rule: AssignmentRule | str) -> float:
-    """Expected payment per patient when expenditure follows ``rule``'s response map."""
-    e_bad, e_good = AssignmentRule(rule).response
-    g = params.gamma
-    bad = provider_expected_payment(params, contract, 0, e_bad)
-    return (1 - g) * bad + g * provider_expected_payment(params, contract, 1, e_good)
+    """Expected payment per patient when expenditure follows ``rule``'s
+    response map, with true labels as in :func:`expected_survival`."""
+    coefficients = _payment_coefficients(params, AssignmentRule(rule).response)
+    return float(np.dot(coefficients, contract.as_array()))
 
 
 def payer_utility(
@@ -253,8 +270,7 @@ def payer_utility(
 
 def provider_expected_payment(params: ModelParams, contract: Contract, s: int, e: int) -> float:
     """Expected payment to the provider given responder status and expenditure."""
-    pi = params.pi(s, e)
-    return (1 - pi) * contract.payment(0, e) + pi * contract.payment(1, e)
+    return float(np.dot(_payment_rows(params, ((1.0, s, e),)), contract.as_array()))
 
 
 def provider_utility(params: ModelParams, contract: Contract, s: int, e: int) -> float:

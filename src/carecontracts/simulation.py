@@ -166,22 +166,22 @@ def compare_policies(
     contract: Contract,
     n: int = DEFAULT_N,
     seed: int = 0,
-    *,
-    w0: float = 0.0,
-    w1: float = 0.0,
 ) -> PolicyComparison:
-    """Run matched / pure-high / pure-low on one shared population.
+    """Run matched / pure-high / pure-low on one shared population, each under
+    the params' label noise (only the matched map reads the labels).
 
     The marginal baseline is the simulated pure-low survival rate. The
     dominance indicators compare the matched policy against pure high on
     the average and marginal cost-effectiveness ratios.
     """
-    low = _simulate(params, Policy(AssignmentRule.PURE_LOW, contract), n, seed, None)
+
+    def policy(rule: AssignmentRule) -> Policy:
+        return Policy(rule, contract, w0=params.w0, w1=params.w1)
+
+    low = _simulate(params, policy(AssignmentRule.PURE_LOW), n, seed, None)
     baseline = low.survival_rate
-    matched = _simulate(
-        params, Policy(AssignmentRule.MATCHED, contract, w0=w0, w1=w1), n, seed, baseline
-    )
-    high = _simulate(params, Policy(AssignmentRule.PURE_HIGH, contract), n, seed, baseline)
+    matched = _simulate(params, policy(AssignmentRule.MATCHED), n, seed, baseline)
+    high = _simulate(params, policy(AssignmentRule.PURE_HIGH), n, seed, baseline)
 
     def beats(a: float | None, b: float | None) -> bool:
         return a is not None and b is not None and a > b

@@ -26,6 +26,7 @@ from .domain import (
     Contract,
     ModelParams,
     NormalizedSystem,
+    _payment_coefficients,
     build_normalized_system,
     expected_survival,
     freeze,
@@ -169,20 +170,12 @@ def solve_non_negative(params: ModelParams, t: float = 0.0) -> NonNegativeSoluti
 
 
 def misclassified_objective(params: ModelParams) -> np.ndarray:
-    """Expected-payment coefficients when responder labels carry noise.
-
-    The provider acts on the observed label, so each contract cell mixes
-    true good and bad responders through the false negative rate ``w0``
-    and false positive rate ``w1``.
-    """
-    g, w0, w1 = params.gamma, params.w0, params.w1
+    """Expected-payment coefficients of the matched map under the params'
+    label noise: the provider acts on the observed label, so each contract
+    cell mixes true good and bad responders through the false negative rate
+    ``w0`` and false positive rate ``w1``. Equal to ``c0`` without noise."""
     return np.array(
-        [
-            (1 - w1) * (1 - g) * (1 - params.pi00) + w0 * g * (1 - params.pi10),
-            w1 * (1 - g) * (1 - params.pi01) + (1 - w0) * g * (1 - params.pi11),
-            (1 - w1) * (1 - g) * params.pi00 + w0 * g * params.pi10,
-            w1 * (1 - g) * params.pi01 + (1 - w0) * g * params.pi11,
-        ]
+        _payment_coefficients(params, AssignmentRule.MATCHED.response, params.w0, params.w1)
     )
 
 
@@ -515,14 +508,14 @@ def verify_contract(
 # --- oracle bridges ----------------------------------------------------------
 
 
-def non_negative_lp(params: ModelParams, objective: np.ndarray | None = None):
+def non_negative_lp(params: ModelParams):
     """The slack-variable standard form of the non-negative payment model.
 
-    Variables are (p00, p01, p10, p11, v1, v2); ``objective`` defaults to
-    the noiseless expected-payment coefficients.
+    Variables are (p00, p01, p10, p11, v1, v2); the objective is the
+    expected payment under the params' label noise, which is ``c0`` when
+    ``w0`` and ``w1`` are zero.
     """
     system = build_normalized_system(params)
-    c = system.c0 if objective is None else np.asarray(objective, dtype=float)
     eq = np.vstack(
         [
             np.concatenate([system.c1, [-1.0, 0.0]]),
@@ -530,7 +523,7 @@ def non_negative_lp(params: ModelParams, objective: np.ndarray | None = None):
         ]
     )
     return StandardFormLP(
-        objective=np.concatenate([c, [0.0, 0.0]]),
+        objective=np.concatenate([misclassified_objective(params), [0.0, 0.0]]),
         eq_matrix=eq,
         eq_rhs=np.array([system.b1, system.b2]),
     )
@@ -558,14 +551,15 @@ def certify(params: ModelParams, g: UtilityTransform) -> dict[str, bool]:
     """Check every closed form against its independent route, keyed by
     :data:`CERTIFIED_CLAIMS`.
 
-    The non-negative optimum must match vertex enumeration in value and
-    lie on the closed-form segment at every optimal vertex; the free-payment
-    contract must match a direct solve of the binding system; the
+    The non-negative optimum must match vertex enumeration without label
+    noise in value and lie on the closed-form segment at every optimal
+    vertex; the free-payment contract must match a direct solve of the
+    binding system; the
     label-noise optimum must match enumeration under the noisy objective;
     and the risk-averse contract, mapped back through ``g``, must pass the
     KKT residual check at 1e-8 with the solver's multipliers.
     """
-    result = solve_lp(non_negative_lp(params))
+    result = solve_lp(non_negative_lp(params.with_misclassification(0.0, 0.0)))
     lo, hi = _nonneg_segment_ends(params)
     nonneg_ok = (
         result.status == "optimal"
@@ -580,7 +574,7 @@ def certify(params: ModelParams, g: UtilityTransform) -> dict[str, bool]:
     free_ok = float(np.max(np.abs(closed - binding_system_solution(params, 1.0)))) <= 1e-8
 
     noisy = solve_non_negative_misclassified(params)
-    noisy_lp = solve_lp(non_negative_lp(params, objective=noisy.objective))
+    noisy_lp = solve_lp(non_negative_lp(params))
     p = noisy.contract.as_array()
     noisy_ok = (
         noisy_lp.status == "optimal"

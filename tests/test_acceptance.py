@@ -123,7 +123,7 @@ def test_criterion_4_misclassification():
         solution = solve_non_negative_misclassified(params)
         evaluated = float(solution.objective @ solution.contract.as_array())
         ok &= abs(evaluated - solution.optimal_value) <= 1e-10
-        oracle = solve_lp(non_negative_lp(params, objective=solution.objective))
+        oracle = solve_lp(non_negative_lp(params))
         ok &= oracle.status == "optimal" and abs(oracle.value - solution.optimal_value) <= 1e-8
 
         mix = params.pi11 * params.w0 + params.pi01 * params.w1

@@ -288,11 +288,14 @@ class TestSimulateCommand:
         assert main(base + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
-    def test_noise_flags_lower_survival(self, tmp_path, params_file, capsys):
-        base = ["simulate", "--params", str(params_file), "--n", "100000", "--seed", "3"]
-        assert main(base) == 0
+    def test_noise_flags_lower_survival(self, tmp_path, params_file, icp_params, capsys):
+        """Label noise comes from the parameter file's w0 and w1."""
+        noisy_file = tmp_path / "noisy.json"
+        dump_params(icp_params.with_misclassification(0.3, 0.0), noisy_file)
+        base = ["simulate", "--n", "100000", "--seed", "3", "--params"]
+        assert main(base + [str(params_file)]) == 0
         clean = json.loads(capsys.readouterr().out)
-        assert main(base + ["--w0", "0.3", "--w1", "0.0"]) == 0
+        assert main(base + [str(noisy_file)]) == 0
         noisy = json.loads(capsys.readouterr().out)
         survival = lambda d: next(p for p in d["policies"] if p["policy"] == "matched")["survival"]
         assert survival(noisy) < survival(clean)
@@ -332,6 +335,9 @@ _SOLVE_FREE = ["solve", "--model", "free", "--params", "{params}"]
 _SOLVE_AVERSE = ["solve", "--model", "risk-averse", "--params", "{params}", "--out", "{out}"]
 _REPRODUCE = ["reproduce", "--out", "{out}", "--n", "20000"]
 _SIMULATE = ["simulate", "--params", "{params}", "--n", "1000"]
+_SIMULATE_FILE = ["simulate", "--params", "{file}", "--n", "1000"]
+_PARAMS = b'{"pi": {"00": 0.51, "01": 0.75, "10": 0.66, "11": 0.85}, "gamma": 0.44'
+_HUGE_P11 = b'{"p00": 0, "p01": 0, "p10": 0, "p11": %s}'
 _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
 _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
 
@@ -343,8 +349,8 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         (_ESTIMATE, b"id,e,t,los,event,z1\np1,1,2,3.0,1," + b"9" * 200_000 + b"\n", 2, "line 2"),
         (_SOLVE, _DEEP, 2, "{file}"),
         (_SIMULATE + ["--contract", "{file}"], _DEEP, 2, "{file}"),
-        (_SIMULATE + ["--w0", "2"], None, 2, "argument --w0: rate=2.0 must lie in [0, 1)"),
-        (_SIMULATE + ["--w1", "nan"], None, 2, "argument --w1: rate=nan must lie in [0, 1)"),
+        (_SIMULATE_FILE, _PARAMS + b', "w0": 2}', 1, "w0=2.0 must lie in [0, 1)"),
+        (_SIMULATE_FILE, _PARAMS + b', "w1": NaN}', 1, "w1=nan must lie in [0, 1)"),
         (_SIMULATE + ["--n", _TOO_MANY], None, 2, "argument --n: must fit in physical memory"),
         (
             _SIMULATE + ["--contract", "{file}", "--format", "csv"],
@@ -363,6 +369,20 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
             b'{"p00": ' + _HUGE_INT + b', "p01": 0, "p10": 0, "p11": 1}',
             2,
             "{file}",
+        ),
+        (_SIMULATE + ["--contract", "{file}"], _HUGE_P11 % b"1e200", 2, "--contract {file}: a simulated"),
+        (_SIMULATE + ["--contract", "{file}"], _HUGE_P11 % b"1e308", 2, "--contract {file}: a simulated"),
+        (
+            _SIMULATE + ["--contract", "{file}", "--format", "csv"],
+            _HUGE_P11 % b"1e200",
+            2,
+            "--contract {file}: a simulated",
+        ),
+        (
+            _SIMULATE + ["--contract", "{file}", "--format", "csv"],
+            _HUGE_P11 % b"1e308",
+            2,
+            "--contract {file}: a simulated",
         ),
         (_SOLVE, b"", 2, "{file}: Expecting value"),
         (_SOLVE, _NOT_UTF8, 2, "{file}: 'utf-8' codec"),
@@ -429,6 +449,10 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         "contract-nan",
         "params-huge-int",
         "contract-huge-int",
+        "contract-p11-1e200-json",
+        "contract-p11-1e308-json",
+        "contract-p11-1e200-csv",
+        "contract-p11-1e308-csv",
         "params-empty",
         "params-not-utf8",
         "cohort-not-utf8",
@@ -481,11 +505,12 @@ def test_bad_input_exit_code(tmp_path, params_file, capsys, recwarn, argv, conte
 @pytest.mark.parametrize("flag", ["--w0", "--w1"])
 @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "inf"])
 def test_noise_rate_out_of_range_exits_2_before_any_read(tmp_path, capsys, flag, value):
-    """The range rule of ``check_noise_rate`` runs in the parser, so the
-    missing parameter file is never opened."""
+    """Label noise has one home, the parameter file: a noise-rate flag is an
+    unknown argument, so the parser exits 2 before the file is opened."""
     assert main(["simulate", "--params", str(tmp_path / "missing.json"), flag, value]) == 2
     err = capsys.readouterr().err
-    assert f"argument {flag}: rate={float(value)!r} must lie in [0, 1)" in err
+    assert f"unrecognized arguments: {flag} {value}" in err
+    assert "missing.json" not in err
 
 
 def test_cli_import_loads_no_process_pool():

@@ -3,8 +3,9 @@
 Any argv built from the five subcommands' flags, with any input-file
 content, must end in exit code 0, 1 or 2 and never in a traceback. Flag
 values come from small pools of non-finite, negative, overflowing,
-malformed and plain values. Input files are a valid file, a prefix of
-one, or random bytes, and some paths name a missing file or a
+malformed and plain values. Input files are a valid file (for
+parameters, with or without label noise), a prefix of one, or random
+bytes, and some paths name a missing file or a
 directory. Cohort and simulation sizes stay at or below 3,000 and
 ``--trials`` at or below 3, so every example is small.
 """
@@ -42,6 +43,7 @@ _OUTS = (["{tmp}/out.json"], ["", "{tmp}", "{tmp}/missing/out.json", "{params}"]
 
 def _valid_files() -> dict[str, bytes]:
     params = ModelParams(pi00=0.51, pi01=0.75, pi10=0.66, pi11=0.85, gamma=0.44)
+    noisy = params.with_misclassification(0.2, 0.1)
     contract = {"p00": 0.0, "p01": 0.0, "p10": 0.0, "p11": 1.18}
     cohort, _ = generate_cohort(SyntheticCohortSpec(n=400, treated_fraction=0.25), 3)
     with tempfile.TemporaryDirectory() as tmp:
@@ -49,6 +51,7 @@ def _valid_files() -> dict[str, bytes]:
         cohort_bytes = (Path(tmp) / "cohort.csv").read_bytes()
     return {
         "params": json.dumps(params_to_dict(params)).encode(),
+        "noisy-params": json.dumps(params_to_dict(noisy)).encode(),
         "contract": json.dumps(contract).encode(),
         "cohort": cohort_bytes,
     }
@@ -88,7 +91,7 @@ def _case(draw) -> tuple[list[str], dict[str, bytes]]:
     argv = [command]
     if command == "solve":
         argv += option("--model", (["free", "nonneg", "nonneg-w", "risk-averse"], ["cubic"]), True)
-        argv += file("--params", "params")
+        argv += file("--params", draw(st.sampled_from(["params", "noisy-params"])))
         argv += option("--t", _NUMBERS) + option("--p11", _NUMBERS) + option("--g", _G)
         argv += option("--f-dollars", _NUMBERS) + option("--out", _OUTS)
     elif command == "estimate":
@@ -97,13 +100,12 @@ def _case(draw) -> tuple[list[str], dict[str, bytes]]:
         argv += option("--orientation", (["survival", "mortality"], ["x"]))
         argv += option("--out", _OUTS, True)
     elif command == "simulate":
-        argv += file("--params", "params")
+        argv += file("--params", draw(st.sampled_from(["params", "noisy-params"])))
         if draw(st.booleans()):
             argv += file("--contract", "contract")
         else:
             argv += option("--contract", (["from-solver"], [""]))
         argv += option("--n", _SIZES, True) + option("--seed", _SEEDS)
-        argv += option("--w0", _NUMBERS) + option("--w1", _NUMBERS)
         argv += option("--out", _OUTS) + option("--format", (["csv", "json"], ["x"]))
     elif command == "verify":
         argv += option("--trials", _TRIALS, True) + option("--seed", _SEEDS)

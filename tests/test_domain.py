@@ -22,6 +22,7 @@ from carecontracts.domain import (
     provider_utility,
 )
 from carecontracts.errors import InvalidParamsError
+from carecontracts.solvers import misclassified_objective, non_negative_lp
 from carecontracts.synthetic import sample_model_params
 
 
@@ -187,9 +188,42 @@ class TestProviderPayments:
         params = sample_model_params(rng)
         contract = Contract(*rng.uniform(-3, 3, 4))
         system = build_normalized_system(params)
-        assert expected_payment(params, contract, "matched") == pytest.approx(
-            float(system.c0 @ contract.as_array()), abs=1e-13
-        )
+        expected = float(system.c0 @ contract.as_array())
+        assert expected_payment(params, contract, "matched") == expected
+
+
+def _paper_formulas(params: ModelParams) -> tuple[np.ndarray, ...]:
+    """c0, c1, c2 and the label-noise objective typed out entry by entry from
+    the paper, independent of the payment-row helper they check."""
+    g, w0, w1 = params.gamma, params.w0, params.w1
+    pi00, pi01, pi10, pi11 = params.pi00, params.pi01, params.pi10, params.pi11
+    c0 = [(1 - g) * (1 - pi00), g * (1 - pi11), (1 - g) * pi00, g * pi11]
+    c1 = [pi10 - 1.0, 1.0 - pi11, -pi10, pi11]
+    c2 = [1.0 - pi00, pi01 - 1.0, pi00, -pi01]
+    noisy = [
+        (1 - w1) * (1 - g) * (1 - pi00) + w0 * g * (1 - pi10),
+        w1 * (1 - g) * (1 - pi01) + (1 - w0) * g * (1 - pi11),
+        (1 - w1) * (1 - g) * pi00 + w0 * g * pi10,
+        w1 * (1 - g) * pi01 + (1 - w0) * g * pi11,
+    ]
+    return tuple(np.array(row) for row in (c0, c1, c2, noisy))
+
+
+def test_payment_rows_give_the_paper_formulas_bit_for_bit(icp_params):
+    """The system, the noisy objective and the LP objective built from the
+    payment rows equal the typed-out formulas byte for byte, at the case
+    study, with and without noise, and on 1,000 noisy draws."""
+    rng = np.random.default_rng(2026)
+    draws = [icp_params, icp_params.with_misclassification(0.1, 0.2)]
+    draws += [sample_model_params(rng, with_noise=True) for _ in range(1000)]
+    for params in draws:
+        c0, c1, c2, noisy = _paper_formulas(params)
+        system = build_normalized_system(params)
+        assert system.stacked().tobytes() == np.vstack([c0, c1, c2]).tobytes()
+        assert misclassified_objective(params).tobytes() == noisy.tobytes()
+        assert non_negative_lp(params).objective[:4].tobytes() == noisy.tobytes()
+        clean = params.with_misclassification(0.0, 0.0)
+        assert misclassified_objective(clean).tobytes() == c0.tobytes()
 
 
 class TestParamsJson:

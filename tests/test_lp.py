@@ -1,6 +1,7 @@
 import ast
 import itertools
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from carecontracts.lp import (
     solve_linear_systems,
     solve_lp,
 )
-from carecontracts.solvers import misclassified_objective, non_negative_lp
+from carecontracts.solvers import non_negative_lp
 from carecontracts.synthetic import sample_model_params
 
 
@@ -191,7 +192,7 @@ def test_enumeration_matches_lapack_per_basis(noisy):
     rng = np.random.default_rng(2024)
     for _ in range(100):
         params = sample_model_params(rng, with_noise=noisy)
-        lp = non_negative_lp(params, objective=misclassified_objective(params) if noisy else None)
+        lp = non_negative_lp(params)
         expected = _reference_basic_points(lp)
         points = enumerate_basic_points(lp)
         assert sorted(p.basis for p in points) == sorted(expected)
@@ -262,7 +263,7 @@ class TestSolveLP:
             assert result.value == pytest.approx(params.gamma, abs=1e-10)
 
     def test_zero_objective_everything_optimal(self, icp_params):
-        lp = non_negative_lp(icp_params, objective=np.zeros(4))
+        lp = replace(non_negative_lp(icp_params), objective=np.zeros(6))
         result = solve_lp(lp)
         assert result.status == "optimal"
         assert result.value == 0.0

@@ -16,7 +16,7 @@ optimize = pytest.importorskip("scipy.optimize")
 
 from carecontracts.estimation import Cohort, fit_cox, fit_propensity  # noqa: E402
 from carecontracts.lp import solve_lp  # noqa: E402
-from carecontracts.solvers import misclassified_objective, non_negative_lp  # noqa: E402
+from carecontracts.solvers import non_negative_lp  # noqa: E402
 from carecontracts.synthetic import sample_model_params  # noqa: E402
 
 
@@ -37,7 +37,7 @@ def test_lp_oracle_matches_highs(noisy):
     rng = np.random.default_rng(31)
     for _ in range(40):
         params = sample_model_params(rng, with_noise=noisy)
-        lp = non_negative_lp(params, objective=misclassified_objective(params) if noisy else None)
+        lp = non_negative_lp(params)
         ours = solve_lp(lp)
         highs = optimize.linprog(
             lp.objective, A_eq=lp.eq_matrix, b_eq=lp.eq_rhs, bounds=(0, None), method="highs"

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import runpy
 import sys
 from pathlib import Path
@@ -5,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from carecontracts.domain import ModelParams
-from carecontracts.estimation import load_cohort
+from carecontracts.estimation import load_cohort, save_cohort
 from carecontracts.solvers import solve_non_negative_misclassified
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
 
@@ -37,3 +39,23 @@ def test_noise_sweep_prints_the_closed_form_value(monkeypatch, capsys):
         value = solve_non_negative_misclassified(base.with_misclassification(w0, w1)).optimal_value
         assert row[:3] == [f"{w0:.2f}", f"{w1:.2f}", f"{value:.4f}"]
         assert row[5] in ("yes", "no")
+
+
+def test_bench_writes_its_file_in_the_current_directory(tmp_path, monkeypatch, capsys):
+    """One ``reproduce --n 20000`` child: its wall time, its own peak RSS and
+    the digest of the cohort.csv it wrote, in BENCH_<label>.json."""
+    monkeypatch.chdir(tmp_path)
+    bench = runpy.run_path(str(SCRIPTS / "bench.py"))
+    argv = ["--label", "smoke", "--sizes", "20000", "--repeats", "1"]
+    assert bench["main"](argv) == 0
+    data = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert data["command"] == ["scripts/bench.py", *argv]
+    assert set(data["machine"]) >= {"nproc", "cpu_model", "python", "numpy"}
+    assert list(data["checkouts"]) == ["change"]
+    (run,) = data["results"]["change"]["20000"]["runs"]
+    assert run["wall_s"] > 0 and run["peak_rss_mb"] > 10 and run["exit_code"] in (0, 1)
+
+    cohort, _ = generate_cohort(SyntheticCohortSpec(n=20_000), 13)
+    save_cohort(cohort, tmp_path / "cohort.csv")
+    expected = hashlib.sha256((tmp_path / "cohort.csv").read_bytes()).hexdigest()
+    assert data["results"]["change"]["20000"]["cohort_sha256"] == run["cohort_sha256"] == expected

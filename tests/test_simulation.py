@@ -201,7 +201,8 @@ class TestComparePolicies:
         def observed_good(w0, w1):
             return np.where(true_good, label >= w0, label < w1).astype(int)
 
-        comparison = compare_policies(icp_params, contract, n=n, seed=8, w0=w0, w1=w1)
+        noisy = icp_params.with_misclassification(w0, w1)
+        comparison = compare_policies(noisy, contract, n=n, seed=8)
         for report, expenditure in zip(
             comparison.reports,
             (observed_good(w0, w1), np.ones(n, dtype=int), np.zeros(n, dtype=int)),
@@ -220,9 +221,10 @@ class TestComparePolicies:
         n = 400_000
         contract = max_gap_contract(icp_params)
         policy = Policy(AssignmentRule.MATCHED, contract, w0=0.1, w1=0.2)
+        noisy = icp_params.with_misclassification(0.1, 0.2)
         runs = (
             lambda: simulate_policy(icp_params, policy, n=n, seed=3),
-            lambda: compare_policies(icp_params, contract, n=n, seed=3, w0=0.1, w1=0.2),
+            lambda: compare_policies(noisy, contract, n=n, seed=3),
         )
         for run in runs:
             tracemalloc.start()

@@ -173,7 +173,7 @@ class TestMisclassified:
         evaluated = float(solution.objective @ solution.contract.as_array())
         assert solution.optimal_value == pytest.approx(evaluated, abs=1e-12)
         # and enumeration confirms this vertex is the unique optimum
-        oracle = solve_lp(non_negative_lp(params, objective=solution.objective))
+        oracle = solve_lp(non_negative_lp(params))
         assert oracle.status == "optimal"
         assert oracle.value == pytest.approx(solution.optimal_value, abs=1e-12)
         assert len(oracle.optimal_points) == 1
@@ -224,11 +224,21 @@ class TestMisclassified:
             assert objective == pytest.approx(expected, abs=1e-15)
             assert float(objective.sum()) == pytest.approx(1.0, abs=1e-12)
 
+    def test_from_solver_contract_is_the_noisy_optimum(self):
+        """``simulate --contract from-solver`` prices ``solve_non_negative(params,
+        0.0)``; under label noise that is the optimum too, bit for bit."""
+        rng = np.random.default_rng(22)
+        for _ in range(1000):
+            params = sample_model_params(rng, with_noise=True)
+            plain = solve_non_negative(params, 0.0).contract.as_array()
+            noisy = solve_non_negative_misclassified(params).contract.as_array()
+            assert plain.tobytes() == noisy.tobytes()
+
     def test_oracle_confirms_unique_optimum(self, rng):
         for _ in range(30):
             params = sample_model_params(rng, with_noise=True)
             solution = solve_non_negative_misclassified(params)
-            result = solve_lp(non_negative_lp(params, objective=solution.objective))
+            result = solve_lp(non_negative_lp(params))
             assert result.status == "optimal"
             assert result.value == pytest.approx(solution.optimal_value, abs=1e-10)
             distances = [
