@@ -29,7 +29,7 @@ def main() -> None:
     else:
         base = ModelParams(pi00=0.51, pi01=0.75, pi10=0.66, pi11=0.85, gamma=0.44)
 
-    clean_survival = expected_survival(base, "matched")
+    clean_survival = expected_survival(base.with_misclassification(0.0, 0.0), "matched")
     print(f"noise-free matched survival {clean_survival:.4f}, expected payment {base.gamma:.4f}")
     print(f"{'w0':>5} {'w1':>5} {'m_w':>8} {'sim pay':>8} {'sim surv':>9} {'costlier':>8}")
     grid = np.linspace(0.0, args.max_noise, args.steps)

@@ -10,10 +10,12 @@ disutility F; rendering in dollars is a presentation concern only.
 
 A policy is a response map ``(e_bad, e_good)``: the expenditure level an
 observed bad and an observed good responder get. ``AssignmentRule`` names
-the four maps. Expected survival is one per-class sum over the map, and
-every payment coefficient comes from one payment row per (status,
-expenditure) cell. Under the matched map (0, 1) every contract model
-reduces to the vectors ``c0, c1, c2`` and scalars ``b0, b1, b2``:
+the four maps. Under the params' label noise a map reaches a set of
+(status, expenditure) cells, each with its probability; expected survival
+and every payment coefficient are sums over those cells, a payment
+coefficient through one payment row per cell. Under the matched map
+(0, 1) with true labels every contract model reduces to the vectors
+``c0, c1, c2`` and scalars ``b0, b1, b2``:
 
 * ``c0 . P`` is the expected payment,
 * ``c1 . P >= b1`` makes intensive care the provider's best action on a
@@ -227,38 +229,52 @@ def _payment_rows(params: ModelParams, cells) -> list[float]:
     return row
 
 
-def _payment_coefficients(params: ModelParams, response, w0=0.0, w1=0.0) -> list[float]:
-    """Expected-payment coefficients of the map ``response`` when a good
-    responder is observed bad at rate ``w0`` and a bad one good at rate
-    ``w1``: P(status, observed class) times a row, status-major."""
-    g = params.gamma
+def _response_cells(params: ModelParams, response, w0: float, w1: float) -> tuple:
+    """Cells (P(status, expenditure), s, e) of the map ``response`` when a good
+    responder is observed bad at rate ``w0`` and a bad one good at rate ``w1``:
+    one per status for a constant map, whose expenditure no label changes,
+    and one per (status, observed class) otherwise, status-major."""
+    g, (e_bad, e_good) = params.gamma, response
+    if e_bad == e_good:
+        return ((1 - g, 0, e_bad), (g, 1, e_good))
     shares = ((1 - g) * (1 - w1), (1 - g) * w1, g * w0, g * (1 - w0))
-    return _payment_rows(params, zip(shares, (0, 0, 1, 1), response * 2))
+    return tuple(zip(shares, (0, 0, 1, 1), response * 2))
 
 
 def build_normalized_system(params: ModelParams) -> NormalizedSystem:
     """Assemble the reduced constraint system for valid, ordered parameters:
-    the matched map's payment and each class's incentive as a row difference."""
+    the matched map's payment with true labels and each class's incentive as
+    a row difference."""
     require_ordering(params)
     return NormalizedSystem(
-        c0=_payment_coefficients(params, AssignmentRule.MATCHED.response),
+        c0=_payment_rows(params, _response_cells(params, AssignmentRule.MATCHED.response, 0.0, 0.0)),
         c1=_payment_rows(params, ((1.0, 1, 1), (-1.0, 1, 0))),
         c2=_payment_rows(params, ((1.0, 0, 0), (-1.0, 0, 1))),
     )
 
 
 def expected_survival(params: ModelParams, rule: AssignmentRule | str) -> float:
-    """Expected survival rate when expenditure follows ``rule``'s response map."""
-    e_bad, e_good = AssignmentRule(rule).response
-    g = params.gamma
-    return (1 - g) * params.pi(0, e_bad) + g * params.pi(1, e_good)
+    """Expected survival rate when expenditure follows ``rule``'s response map
+    and each patient is observed through the params' label noise."""
+    survival = 0.0
+    for weight, s, e in _response_cells(params, AssignmentRule(rule).response, params.w0, params.w1):
+        survival += weight * params.pi(s, e)
+    return survival
+
+
+def payment_coefficients(params: ModelParams, rule: AssignmentRule | str) -> np.ndarray:
+    """Expected-payment coefficients of P when expenditure follows ``rule``'s
+    response map under the params' label noise; the provider acts on the
+    observed label, so each cell mixes true good and bad responders. The
+    matched map's vector is ``c0`` without noise."""
+    cells = _response_cells(params, AssignmentRule(rule).response, params.w0, params.w1)
+    return np.array(_payment_rows(params, cells))
 
 
 def expected_payment(params: ModelParams, contract: Contract, rule: AssignmentRule | str) -> float:
     """Expected payment per patient when expenditure follows ``rule``'s
-    response map, with true labels as in :func:`expected_survival`."""
-    coefficients = _payment_coefficients(params, AssignmentRule(rule).response)
-    return float(np.dot(coefficients, contract.as_array()))
+    response map, under the params' label noise as in :func:`expected_survival`."""
+    return float(payment_coefficients(params, rule) @ contract.as_array())
 
 
 def payer_utility(

@@ -26,10 +26,10 @@ from .domain import (
     Contract,
     ModelParams,
     NormalizedSystem,
-    _payment_coefficients,
     build_normalized_system,
     expected_survival,
     freeze,
+    payment_coefficients,
     require_distinct_benefit,
     require_ordering,
 )
@@ -43,28 +43,6 @@ PROBE_UPPER = 4.0
 # Strictness margin on the solvability condition s1 < 1; values this close
 # to the boundary produce numerically useless contracts.
 SOLVABILITY_MARGIN = 1e-6
-
-
-# --- solvability ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SolvabilityCertificate:
-    """Whether the binding free-payment system admits a solution."""
-
-    solvable: bool
-    s1: float
-
-
-def check_binding_solvability(params: ModelParams) -> SolvabilityCertificate:
-    """Solvability of the binding system.
-
-    The system is solvable iff the uniform-high survival rate s1 stays
-    strictly below one; ``SOLVABILITY_MARGIN`` guards the boundary.
-    """
-    require_ordering(params)
-    s1 = expected_survival(params, AssignmentRule.PURE_HIGH)
-    return SolvabilityCertificate(solvable=bool(s1 < 1.0 - SOLVABILITY_MARGIN), s1=s1)
 
 
 # --- free payment model -----------------------------------------------------
@@ -86,33 +64,24 @@ class FreePaymentSolution:
         freeze(self, "sensitivity")
 
 
-def free_payment_sensitivity(params: ModelParams) -> np.ndarray:
-    """(dp00/dp11, dp01/dp11, dp10/dp11) along the binding family."""
-    s0 = expected_survival(params, AssignmentRule.PURE_LOW)
-    s1 = expected_survival(params, AssignmentRule.PURE_HIGH)
-    den = (params.pi10 - params.pi00) * (1.0 - s1)
-    spread = params.pi11 - params.pi01
-    return np.array([-spread * s0 / den, -s1 / (1.0 - s1), spread * (1.0 - s0) / den])
-
-
 def solve_free_payment(params: ModelParams, p11: float = 1.0) -> FreePaymentSolution:
     """Contract with zero expected payment and both incentives binding.
 
     ``p11`` is free; the remaining payments follow in closed form. Fails
     when s1 >= 1 or pi10 == pi00 (the family's denominator vanishes).
     """
-    cert = check_binding_solvability(params)
-    if not cert.solvable:
+    require_ordering(params)
+    s0 = expected_survival(params, AssignmentRule.PURE_LOW)
+    s1 = expected_survival(params, AssignmentRule.PURE_HIGH)
+    if not s1 < 1.0 - SOLVABILITY_MARGIN:
         raise InvalidParamsError(
-            f"binding system unsolvable: uniform-high survival s1={cert.s1:.6f} is not < 1"
+            f"binding system unsolvable: uniform-high survival s1={s1:.6f} is not < 1"
         )
     if params.pi10 - params.pi00 <= 1e-12:
         raise InvalidParamsError("pi10 == pi00: free-payment family denominator vanishes")
 
     pi00, pi01, pi10, pi11 = params.pi00, params.pi01, params.pi10, params.pi11
     g = params.gamma
-    s0 = expected_survival(params, AssignmentRule.PURE_LOW)
-    s1 = expected_survival(params, AssignmentRule.PURE_HIGH)
     den = (pi10 - pi00) * (1.0 - s1)
     spread = pi11 - pi01
 
@@ -130,7 +99,7 @@ def solve_free_payment(params: ModelParams, p11: float = 1.0) -> FreePaymentSolu
 
     return FreePaymentSolution(
         contract=Contract(p00, p01, p10, float(p11)),
-        sensitivity=free_payment_sensitivity(params),
+        sensitivity=np.array([-spread * s0 / den, -s1 / (1.0 - s1), spread * (1.0 - s0) / den]),
     )
 
 
@@ -169,16 +138,6 @@ def solve_non_negative(params: ModelParams, t: float = 0.0) -> NonNegativeSoluti
     )
 
 
-def misclassified_objective(params: ModelParams) -> np.ndarray:
-    """Expected-payment coefficients of the matched map under the params'
-    label noise: the provider acts on the observed label, so each contract
-    cell mixes true good and bad responders through the false negative rate
-    ``w0`` and false positive rate ``w1``. Equal to ``c0`` without noise."""
-    return np.array(
-        _payment_coefficients(params, AssignmentRule.MATCHED.response, params.w0, params.w1)
-    )
-
-
 @dataclass(frozen=True)
 class MisclassifiedSolution:
     """Unique optimum under label noise, with its objective value m_w."""
@@ -209,7 +168,7 @@ def solve_non_negative_misclassified(params: ModelParams) -> MisclassifiedSoluti
         slack_v1=0.0,
         slack_v2=1.0 - pi01 / pi11,
         optimal_value=g * (1.0 - leak - params.w0) + leak,
-        objective=misclassified_objective(params),
+        objective=payment_coefficients(params, AssignmentRule.MATCHED),
     )
 
 
@@ -408,7 +367,8 @@ class ConstraintStatus:
 
 @dataclass(frozen=True)
 class ContractCertificate:
-    """Report-only audit of a contract against one model's constraints."""
+    """Report-only audit of a contract against one model's constraints; only
+    ``nonneg-w`` prices ``expected_payment`` under the params' label noise."""
 
     model: str
     feasible: bool
@@ -474,9 +434,8 @@ def verify_contract(
     expected = float(system.c0 @ p)
     if model == "free":
         constraints.append(status("nonnegative-expected-payment", expected, 0.0))
-        base = solve_free_payment(params, 0.0).contract.as_array()
-        direction = np.append(free_payment_sensitivity(params), 1.0)
-        distance = _line_distance(p, base, direction)
+        family = solve_free_payment(params, 0.0)
+        distance = _line_distance(p, family.contract.as_array(), np.append(family.sensitivity, 1.0))
         gap = abs(expected - 0.0)
     elif model == "nonneg":
         distance = _segment_distance(p, *_nonneg_segment_ends(params))
@@ -484,7 +443,9 @@ def verify_contract(
     elif model == "nonneg-w":
         solution = solve_non_negative_misclassified(params)
         distance = float(np.linalg.norm(p - solution.contract.as_array()))
-        gap = float(solution.objective @ p) - solution.optimal_value
+        # priced under the params' label noise, unlike the true-label models
+        expected = float(solution.objective @ p)
+        gap = expected - solution.optimal_value
     elif model == "risk-averse":
         # the closed form of solve_risk_averse: W = (0, 1, 0, 1), paid at g^-1(W)
         optimum = np.asarray(g.inverse(np.array([0.0, 1.0, 0.0, 1.0])), dtype=float)
@@ -523,7 +484,7 @@ def non_negative_lp(params: ModelParams):
         ]
     )
     return StandardFormLP(
-        objective=np.concatenate([misclassified_objective(params), [0.0, 0.0]]),
+        objective=np.concatenate([payment_coefficients(params, AssignmentRule.MATCHED), [0.0, 0.0]]),
         eq_matrix=eq,
         eq_rhs=np.array([system.b1, system.b2]),
     )

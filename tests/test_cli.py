@@ -76,6 +76,16 @@ class TestSolveCommand:
         assert data["contract"]["p00"] == pytest.approx(-1.2602, abs=1e-4)
         assert data["sensitivity"]["dp01_dp11"] == pytest.approx(-3.8544, abs=1e-4)
 
+    def test_nonneg_w_prices_under_the_file_noise(self, tmp_path, icp_params, capsys):
+        path = tmp_path / "noisy.json"
+        dump_params(icp_params.with_misclassification(0.2, 0.1), path)
+        assert main(["solve", "--model", "nonneg-w", "--params", str(path)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["optimal_value"] == pytest.approx(0.4014117647058824, abs=1e-15)
+        assert data["expected_payment"] == pytest.approx(data["optimal_value"], abs=1e-15)
+        assert data["expected_payment_dollars"] == 4014.12
+        assert data["certificate"]["expected_payment"] == data["expected_payment"]
+
     def test_large_finite_p11(self, params_file, capsys, recwarn):
         assert main(["solve", "--model", "free", "--params", str(params_file), "--p11", "1e150"]) == 0
         assert json.loads(capsys.readouterr().out)["contract"]["p11"] == 1e150

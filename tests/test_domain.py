@@ -18,11 +18,12 @@ from carecontracts.domain import (
     params_from_dict,
     params_to_dict,
     payer_utility,
+    payment_coefficients,
     provider_expected_payment,
     provider_utility,
 )
 from carecontracts.errors import InvalidParamsError
-from carecontracts.solvers import misclassified_objective, non_negative_lp
+from carecontracts.solvers import non_negative_lp
 from carecontracts.synthetic import sample_model_params
 
 
@@ -220,10 +221,65 @@ def test_payment_rows_give_the_paper_formulas_bit_for_bit(icp_params):
         c0, c1, c2, noisy = _paper_formulas(params)
         system = build_normalized_system(params)
         assert system.stacked().tobytes() == np.vstack([c0, c1, c2]).tobytes()
-        assert misclassified_objective(params).tobytes() == noisy.tobytes()
+        assert payment_coefficients(params, AssignmentRule.MATCHED).tobytes() == noisy.tobytes()
         assert non_negative_lp(params).objective[:4].tobytes() == noisy.tobytes()
         clean = params.with_misclassification(0.0, 0.0)
-        assert misclassified_objective(clean).tobytes() == c0.tobytes()
+        assert payment_coefficients(clean, AssignmentRule.MATCHED).tobytes() == c0.tobytes()
+
+
+def _noisy_figures(params: ModelParams, contract: Contract, rule: AssignmentRule):
+    """Survival and expected payment of ``rule``'s map when a true good
+    responder is observed bad at rate w0 and a bad one good at rate w1,
+    typed out apart from the cell helper they check."""
+    e_bad, e_good = rule.response
+    g, w0, w1 = params.gamma, params.w0, params.w1
+    seen_good = {0: w1, 1: 1.0 - w0}  # P(observed good | true status)
+    survival = payment = 0.0
+    for s, share in ((0, 1.0 - g), (1, g)):
+        for e, weight in ((e_bad, 1.0 - seen_good[s]), (e_good, seen_good[s])):
+            pi = params.pi(s, e)
+            survival += share * weight * pi
+            payment += share * weight * (
+                (1 - pi) * contract.payment(0, e) + pi * contract.payment(1, e)
+            )
+    return survival, payment
+
+
+class TestNoisyClosedForms:
+    @staticmethod
+    def draws(icp_params):
+        rng = np.random.default_rng(23)
+        params = [icp_params, icp_params.with_misclassification(0.2, 0.1)]
+        params += [sample_model_params(rng, with_noise=True) for _ in range(1000)]
+        contracts = [Contract(*rng.uniform(-2, 2, 4)) for _ in params]
+        return list(zip(params, contracts))
+
+    def test_every_map_matches_the_cell_algebra(self, icp_params):
+        for params, contract in self.draws(icp_params):
+            for p in (params, params.with_misclassification(0.0, 0.0)):
+                for rule in AssignmentRule:
+                    survival, payment = _noisy_figures(p, contract, rule)
+                    assert expected_survival(p, rule) == pytest.approx(survival, abs=1e-15)
+                    assert expected_payment(p, contract, rule) == pytest.approx(payment, abs=1e-15)
+
+    def test_bit_for_bit_where_the_labels_do_not_matter(self, icp_params):
+        """Without noise a map is the per-class sum; a constant map never
+        reads the labels, so noise leaves its figures' bits alone."""
+        for params, contract in self.draws(icp_params):
+            clean = params.with_misclassification(0.0, 0.0)
+            g = params.gamma
+            for rule in AssignmentRule:
+                e_bad, e_good = rule.response
+                per_class = (1 - g) * params.pi(0, e_bad) + g * params.pi(1, e_good)
+                assert expected_survival(clean, rule) == per_class
+                if e_bad == e_good:
+                    assert expected_survival(params, rule) == per_class
+                    assert expected_payment(params, contract, rule) == expected_payment(
+                        clean, contract, rule
+                    )
+            c0 = build_normalized_system(params).c0
+            matched = expected_payment(clean, contract, AssignmentRule.MATCHED)
+            assert matched == float(c0 @ contract.as_array())
 
 
 class TestParamsJson:

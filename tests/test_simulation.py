@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from carecontracts import simulation
-from carecontracts.domain import AssignmentRule, ModelParams, expected_survival
+from carecontracts.domain import AssignmentRule, ModelParams, expected_payment, expected_survival
 from carecontracts.simulation import (
     CSV_HEADER,
     Policy,
@@ -61,6 +61,19 @@ class TestSimulatePolicy:
         report = simulate_policy(icp_params, policy, n=1_000_000, seed=13)
         assert abs(report.survival_rate - 0.7104) <= report.ci95_survival
 
+    def test_noisy_matched_closed_forms_match_the_simulation(self, icp_params):
+        """At w0 = 0.2, w1 = 0.1 the closed forms price the label-noise optimum
+        under the noise, as the simulation does; both lie in its 95% intervals."""
+        params = icp_params.with_misclassification(0.2, 0.1)
+        contract = solve_non_negative_misclassified(params).contract
+        survival = expected_survival(params, AssignmentRule.MATCHED)
+        payment = expected_payment(params, contract, AssignmentRule.MATCHED)
+        assert survival == pytest.approx(0.65632, abs=1e-12)
+        assert payment == pytest.approx(0.4014118, abs=1e-7)
+        report = compare_policies(params, contract, n=1_000_000, seed=13).matched
+        assert abs(report.survival_rate - survival) <= report.ci95_survival
+        assert abs(report.mean_payment - payment) <= report.ci95_payment
+
     def test_mean_payment_is_gamma_for_any_family_member(self, rng):
         for _ in range(5):
             params = sample_model_params(rng)
@@ -101,7 +114,7 @@ class TestSimulatePolicy:
                 n=n,
                 seed=3,
             )
-            clean = expected_survival(params, "matched")
+            clean = expected_survival(params.with_misclassification(0.0, 0.0), "matched")
             shift = -params.gamma * params.w0 * (params.pi11 - params.pi10) + (
                 1 - params.gamma
             ) * params.w1 * (params.pi01 - params.pi00)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carecontracts.domain import Contract, ModelParams, build_normalized_system
+from carecontracts.domain import (
+    AssignmentRule,
+    Contract,
+    ModelParams,
+    build_normalized_system,
+    payment_coefficients,
+)
 from carecontracts.errors import InvalidParamsError
 from carecontracts import solvers
 from carecontracts.lp import solve_lp
@@ -15,10 +21,7 @@ from carecontracts.solvers import (
     UtilityTransform,
     binding_system_solution,
     certify,
-    check_binding_solvability,
-    free_payment_sensitivity,
     misclassification_raises_cost,
-    misclassified_objective,
     non_negative_lp,
     solve_free_payment,
     solve_non_negative,
@@ -33,21 +36,27 @@ def solvable_params(seed: int) -> ModelParams:
     return sample_model_params(np.random.default_rng(seed))
 
 
+def uniform_high_survival(solution) -> float:
+    """s1 read back from the family's slope dp01/dp11 = -s1 / (1 - s1)."""
+    slope = float(solution.sensitivity[1])
+    return slope / (slope - 1.0)
+
+
 class TestBindingSolvability:
     def test_case_study(self, icp_params):
-        cert = check_binding_solvability(icp_params)
-        assert cert.solvable
-        assert cert.s1 == pytest.approx(0.794, abs=1e-12)
+        solution = solve_free_payment(icp_params)
+        assert uniform_high_survival(solution) == pytest.approx(0.794, abs=1e-12)
 
     def test_boundary_fails_strictness(self):
         params = ModelParams(0.2, 0.999999, 0.3, 0.999999, 0.5)
-        assert not check_binding_solvability(params).solvable
+        with pytest.raises(InvalidParamsError, match=r"s1=0\.999999 is not < 1"):
+            solve_free_payment(params)
 
     def test_equal_high_columns_still_solvable(self):
         params = ModelParams(0.5, 0.9, 0.7, 0.9, 0.5)
-        cert = check_binding_solvability(params)
-        assert cert.solvable
-        assert cert.s1 == pytest.approx(0.9, abs=1e-12)
+        solution = solve_free_payment(params)
+        assert uniform_high_survival(solution) == pytest.approx(0.9, abs=1e-12)
+        assert np.all(np.isfinite(solution.contract.as_array()))
 
 
 class TestFreePayment:
@@ -77,16 +86,17 @@ class TestFreePayment:
         params = solvable_params(seed)
         rng = np.random.default_rng(seed + 1)
         a, b = rng.uniform(-2, 2, 2)
-        pa = solve_free_payment(params, a).contract.as_array()
+        solution = solve_free_payment(params, a)
+        pa = solution.contract.as_array()
         pb = solve_free_payment(params, b).contract.as_array()
-        direction = np.append(free_payment_sensitivity(params), 1.0)
+        direction = np.append(solution.sensitivity, 1.0)
         assert pb - pa == pytest.approx((b - a) * direction, abs=1e-9)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_sensitivity_signs_and_finite_differences(self, seed):
         params = solvable_params(seed)
-        sens = free_payment_sensitivity(params)
+        sens = solve_free_payment(params).sensitivity
         assert sens[0] < 0 and sens[1] < 0 and sens[2] > 0
         h = 1e-4
         hi = solve_free_payment(params, 1.0 + h).contract.as_array()
@@ -220,7 +230,7 @@ class TestMisclassified:
                     pi = params.pi(s, e)
                     expected[e] += share * weight * (1.0 - pi)  # p0e
                     expected[2 + e] += share * weight * pi  # p1e
-            objective = misclassified_objective(params)
+            objective = payment_coefficients(params, AssignmentRule.MATCHED)
             assert objective == pytest.approx(expected, abs=1e-15)
             assert float(objective.sum()) == pytest.approx(1.0, abs=1e-12)
 
