@@ -10,7 +10,7 @@ import argparse
 from pathlib import Path
 
 from carecontracts.estimation import save_cohort
-from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
+from carecontracts.synthetic import BETA_CONTROL, BETA_TREATED, SyntheticCohortSpec, generate_cohort
 
 
 def main() -> None:
@@ -22,14 +22,18 @@ def main() -> None:
     args = parser.parse_args()
 
     spec = SyntheticCohortSpec(n=args.n, treated_fraction=args.treated_fraction)
-    cohort, truth = generate_cohort(spec, args.seed)
+    cohort, _ = generate_cohort(spec, args.seed)
     save_cohort(cohort, args.out)
 
+    planted = spec.planted
     print(f"wrote {len(cohort)} records -> {Path(args.out).resolve()}")
-    print(f"treated: {truth.n_treated}")
-    print(f"planted survival cells: pi00={spec.pi00} pi01={spec.pi01} pi10={spec.pi10} pi11={spec.pi11}")
-    print(f"planted good-responder share: {spec.gamma}")
-    print(f"planted Cox coefficients: control={spec.beta_control} treated={spec.beta_treated}")
+    print(f"treated: {cohort.e.sum()}")
+    print(
+        f"planted survival cells: pi00={planted.pi00} pi01={planted.pi01}"
+        f" pi10={planted.pi10} pi11={planted.pi11}"
+    )
+    print(f"planted good-responder share: {planted.gamma}")
+    print(f"planted Cox coefficients: control={BETA_CONTROL} treated={BETA_TREATED}")
 
 
 if __name__ == "__main__":

@@ -10,9 +10,10 @@ import argparse
 
 import numpy as np
 
-from carecontracts.domain import AssignmentRule, ModelParams, expected_survival, load_params
+from carecontracts.domain import AssignmentRule, expected_survival, load_params
 from carecontracts.simulation import Policy, simulate_policy
 from carecontracts.solvers import misclassification_raises_cost, solve_non_negative_misclassified
+from carecontracts.synthetic import CASE_STUDY
 
 
 def main() -> None:
@@ -24,10 +25,7 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=13)
     args = parser.parse_args()
 
-    if args.params:
-        base = load_params(args.params)
-    else:
-        base = ModelParams(pi00=0.51, pi01=0.75, pi10=0.66, pi11=0.85, gamma=0.44)
+    base = load_params(args.params) if args.params else CASE_STUDY
 
     clean_survival = expected_survival(base.with_misclassification(0.0, 0.0), "matched")
     print(f"noise-free matched survival {clean_survival:.4f}, expected payment {base.gamma:.4f}")

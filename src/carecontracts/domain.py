@@ -26,11 +26,12 @@ coefficient through one payment row per cell. Under the matched map
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -76,15 +77,15 @@ class AssignmentRule(str, Enum):
 
 
 def _check_prob(name: str, value: float) -> None:
-    if not np.isfinite(value) or not (PROB_GUARD < value < 1.0 - PROB_GUARD):
+    if not PROB_GUARD < value < 1.0 - PROB_GUARD:
         raise InvalidParamsError(
             f"{name}={value!r} must lie strictly inside ({PROB_GUARD}, {1 - PROB_GUARD})"
         )
 
 
 def check_noise_rate(name: str, value: float) -> None:
-    """Raise unless the label-noise rate ``value`` is finite and in [0, 1)."""
-    if not np.isfinite(value) or not (0.0 <= value < 1.0):
+    """Raise unless the label-noise rate ``value`` is in [0, 1)."""
+    if not 0.0 <= value < 1.0:
         raise InvalidParamsError(f"{name}={value!r} must lie in [0, 1)")
 
 
@@ -104,17 +105,14 @@ class ModelParams:
     pi11: float
     gamma: float
     phi: float = 1.0
-    disutility_f: float = 1.0
     w0: float = 0.0
     w1: float = 0.0
 
     def __post_init__(self) -> None:
         for name in ("pi00", "pi01", "pi10", "pi11", "gamma"):
             _check_prob(name, getattr(self, name))
-        if not np.isfinite(self.phi) or self.phi <= 0:
+        if not 0.0 < self.phi < math.inf:
             raise InvalidParamsError(f"phi={self.phi!r} must be a positive real")
-        if not np.isfinite(self.disutility_f) or self.disutility_f <= 0:
-            raise InvalidParamsError(f"disutility_f={self.disutility_f!r} must be positive")
         for name in ("w0", "w1"):
             check_noise_rate(name, getattr(self, name))
 
@@ -197,14 +195,15 @@ class Contract:
 
 @dataclass(frozen=True)
 class NormalizedSystem:
-    """Coefficient vectors and right-hand sides of the reduced problem."""
+    """Coefficient vectors and right-hand sides of the reduced problem; the
+    right-hand sides are constants because payments are in units of F."""
 
     c0: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
-    b0: float = 0.0
-    b1: float = 1.0
-    b2: float = -1.0
+    b0: ClassVar[float] = 0.0
+    b1: ClassVar[float] = 1.0
+    b2: ClassVar[float] = -1.0
 
     def __post_init__(self) -> None:
         freeze(self, "c0", "c1", "c2")
@@ -290,9 +289,9 @@ def provider_expected_payment(params: ModelParams, contract: Contract, s: int, e
 
 
 def provider_utility(params: ModelParams, contract: Contract, s: int, e: int) -> float:
-    """Provider's expected payment net of the disutility of intensive care."""
-    cost = params.disutility_f if e == 1 else 0.0
-    return provider_expected_payment(params, contract, s, e) - cost
+    """Provider's expected payment net of the disutility of intensive care,
+    which is the payment unit F."""
+    return provider_expected_payment(params, contract, s, e) - e
 
 
 # --- JSON parameter files ---------------------------------------------------
@@ -300,6 +299,7 @@ def provider_utility(params: ModelParams, contract: Contract, s: int, e: int) ->
 # Schema (field names fixed):
 #   { "pi": {"00": .., "01": .., "10": .., "11": ..},
 #     "gamma": .., "phi": .., "F": .., "w0": .., "w1": .. }
+# F is the payment unit, so it must be 1 when given.
 
 
 def params_to_dict(params: ModelParams) -> dict:
@@ -312,7 +312,7 @@ def params_to_dict(params: ModelParams) -> dict:
         },
         "gamma": params.gamma,
         "phi": params.phi,
-        "F": params.disutility_f,
+        "F": 1.0,
         "w0": params.w0,
         "w1": params.w1,
     }
@@ -323,6 +323,7 @@ def params_from_dict(data: Mapping) -> ModelParams:
     ``ParamsFormatError``, a value out of range an ``InvalidParamsError``."""
     try:
         pi = data["pi"]
+        unit = float(data.get("F", 1.0))
         values = dict(
             pi00=float(pi["00"]),
             pi01=float(pi["01"]),
@@ -330,12 +331,13 @@ def params_from_dict(data: Mapping) -> ModelParams:
             pi11=float(pi["11"]),
             gamma=float(data["gamma"]),
             phi=float(data.get("phi", 1.0)),
-            disutility_f=float(data.get("F", 1.0)),
             w0=float(data.get("w0", 0.0)),
             w1=float(data.get("w1", 0.0)),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParamsFormatError(f"malformed parameter file: missing or bad field {exc}") from exc
+    if unit != 1.0:
+        raise InvalidParamsError(f"F={unit!r} must be 1: payments are in units of F")
     return ModelParams(**values)
 
 

@@ -17,9 +17,10 @@ planted explicitly:
   time.
 
 The propensity direction is orthogonal to the response-score direction,
-so matching does not tilt the responder mix. Default cell survival rates
-and the responder share replicate the bundled ICP-monitoring case study,
-which :func:`reproduce_case_study` runs end to end.
+so matching does not tilt the responder mix. The default planted cell
+survival rates and responder share are :data:`CASE_STUDY`, the bundled
+ICP-monitoring case study, which :func:`reproduce_case_study` runs end to
+end; the planted coefficients are module constants.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from statistics import NormalDist
 import numpy as np
 
 from .domain import ModelParams, dollars, expected_survival, freeze, params_to_dict
-from .errors import EstimationError
 from .estimation import Cohort, PipelineConfig, PipelineResult, run_pipeline
 from .simulation import PolicyComparison, comparison_to_dict, compare_policies
 from .solvers import solve_non_negative
@@ -48,26 +48,28 @@ PUBLISHED_POLICY_FIGURES = {
 }
 
 
+# Published point estimates of the bundled ICP-monitoring case study.
+CASE_STUDY = ModelParams(0.51, 0.75, 0.66, 0.85, 0.44)
+
+# Planted per-arm Cox coefficients and baseline hazards, and propensity slopes.
+BETA_CONTROL = (0.5, -0.3, 0.2)
+BETA_TREATED = (-0.2, 0.4, -0.3)
+BASELINE_HAZARD_CONTROL = 0.04
+BASELINE_HAZARD_TREATED = 0.03
+PROPENSITY_SLOPES = (0.4, 0.4, 0.0)
+
+
 @dataclass(frozen=True)
 class SyntheticCohortSpec:
-    """Planted truth for one generated cohort."""
+    """One generated cohort: its size, its treated share, and the survival per
+    (true responder class, treatment) and good-responder share it plants."""
 
     n: int = 100_000
     treated_fraction: float = 0.10
-    beta_control: tuple[float, ...] = (0.5, -0.3, 0.2)
-    beta_treated: tuple[float, ...] = (-0.2, 0.4, -0.3)
-    propensity_slopes: tuple[float, ...] = (0.4, 0.4, 0.0)
-    # survival-to-discharge probability per (true responder class, treatment)
-    pi00: float = 0.51
-    pi01: float = 0.75
-    pi10: float = 0.66
-    pi11: float = 0.85
-    gamma: float = 0.44
-    baseline_hazard_control: float = 0.04
-    baseline_hazard_treated: float = 0.03
+    planted: ModelParams = CASE_STUDY
 
     def planted_params(self) -> ModelParams:
-        return ModelParams(self.pi00, self.pi01, self.pi10, self.pi11, self.gamma)
+        return self.planted
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,6 @@ class SyntheticTruth:
     """Everything the generator decided, for use as a test oracle."""
 
     true_classes: np.ndarray
-    n_treated: int
 
     def __post_init__(self) -> None:
         freeze(self, "true_classes", dtype=None)
@@ -96,35 +97,29 @@ def _solve_intercept(linear: np.ndarray, target: float) -> float:
 
 
 def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, SyntheticTruth]:
-    p = len(spec.beta_control)
-    if len(spec.beta_treated) != p or len(spec.propensity_slopes) != p:
-        raise EstimationError("planted coefficient vectors must share one length")
-    delta = np.array(spec.beta_treated) - np.array(spec.beta_control)
-    norm = float(np.linalg.norm(delta))
-    if norm == 0.0:
-        raise EstimationError("planted Cox coefficients must differ between arms")
+    delta = np.array(BETA_TREATED) - np.array(BETA_CONTROL)
     # place the covariate mean so P(delta . Z > 0) equals gamma
-    mean = NormalDist().inv_cdf(spec.gamma) / norm * delta
+    mean = NormalDist().inv_cdf(spec.planted.gamma) / float(np.linalg.norm(delta)) * delta
 
     rng = np.random.default_rng(seed)
-    z = rng.normal(0.0, 1.0, size=(spec.n, p)) + mean
+    z = rng.normal(0.0, 1.0, size=(spec.n, len(delta))) + mean
 
-    linear = z @ np.array(spec.propensity_slopes)
+    linear = z @ np.array(PROPENSITY_SLOPES)
     intercept = _solve_intercept(linear, spec.treated_fraction)
     treated = rng.random(spec.n) < 1.0 / (1.0 + np.exp(-(intercept + linear)))
 
     good = z @ delta > 0.0
 
     # Each temporary dies in its statement: held to return, they raised the reproduce peak RSS.
-    rates = np.where(treated, spec.baseline_hazard_treated, spec.baseline_hazard_control)
-    rates *= np.exp(np.sum(z * np.where(treated[:, None], spec.beta_treated, spec.beta_control), axis=1))
+    rates = np.where(treated, BASELINE_HAZARD_TREATED, BASELINE_HAZARD_CONTROL)
+    rates *= np.exp(np.sum(z * np.where(treated[:, None], BETA_TREATED, BETA_CONTROL), axis=1))
     death_days = np.maximum(1, np.ceil(rng.exponential(1.0 / rates))).astype(int)
     del rates
 
     died_before_discharge = rng.random(spec.n) >= np.where(
         good,
-        np.where(treated, spec.pi11, spec.pi10),
-        np.where(treated, spec.pi01, spec.pi00),
+        np.where(treated, spec.planted.pi11, spec.planted.pi10),
+        np.where(treated, spec.planted.pi01, spec.planted.pi00),
     )
     los = np.where(
         died_before_discharge,
@@ -141,11 +136,7 @@ def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, Synth
         event=np.ones(spec.n, dtype=int),
         z=z,
     )
-    truth = SyntheticTruth(
-        true_classes=good.astype(int),
-        n_treated=int(treated.sum()),
-    )
-    return cohort, truth
+    return cohort, SyntheticTruth(true_classes=good.astype(int))
 
 
 # --- random model parameters ---------------------------------------------------
@@ -205,7 +196,7 @@ def reproduce_case_study(
     """
     result = run_pipeline(cohort, PipelineConfig())
     estimated = result.params
-    planted = spec.planted_params()
+    planted = spec.planted
     verdicts = [
         _verdict(name, getattr(estimated, name), getattr(planted, name), 0.02)
         for name in ("pi00", "pi01", "pi10", "pi11", "gamma")

@@ -202,13 +202,13 @@ def test_criterion_6_estimation_recovery(bundled_cohort):
     start = time.perf_counter()
     result = run_pipeline(cohort)
     elapsed = time.perf_counter() - start
-    params = result.params
+    params, planted = result.params, spec.planted_params()
 
-    ok = abs(params.pi00 - spec.pi00) <= 0.02
-    ok &= abs(params.pi01 - spec.pi01) <= 0.02
-    ok &= abs(params.pi10 - spec.pi10) <= 0.02
-    ok &= abs(params.pi11 - spec.pi11) <= 0.02
-    ok &= abs(params.gamma - spec.gamma) <= 0.02
+    ok = abs(params.pi00 - planted.pi00) <= 0.02
+    ok &= abs(params.pi01 - planted.pi01) <= 0.02
+    ok &= abs(params.pi10 - planted.pi10) <= 0.02
+    ok &= abs(params.pi11 - planted.pi11) <= 0.02
+    ok &= abs(params.gamma - planted.gamma) <= 0.02
     ok &= elapsed < 120.0
 
     # analytic Cox gradient vs central finite differences on one matched arm

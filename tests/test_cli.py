@@ -361,6 +361,18 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         (_SIMULATE + ["--contract", "{file}"], _DEEP, 2, "{file}"),
         (_SIMULATE_FILE, _PARAMS + b', "w0": 2}', 1, "w0=2.0 must lie in [0, 1)"),
         (_SIMULATE_FILE, _PARAMS + b', "w1": NaN}', 1, "w1=nan must lie in [0, 1)"),
+        (
+            _SOLVE + ["--out", "{out}"],
+            _PARAMS + b', "F": 2.5}',
+            1,
+            "F=2.5 must be 1: payments are in units of F",
+        ),
+        (
+            _SOLVE + ["--out", "{out}"],
+            _PARAMS + b', "F": 10000}',
+            1,
+            "F=10000.0 must be 1: payments are in units of F",
+        ),
         (_SIMULATE + ["--n", _TOO_MANY], None, 2, "argument --n: must fit in physical memory"),
         (
             _SIMULATE + ["--contract", "{file}", "--format", "csv"],
@@ -455,6 +467,8 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         "contract-nested",
         "w0-out-of-range",
         "w1-nan",
+        "f-not-the-unit",
+        "f-in-dollars",
         "simulate-n-beyond-memory",
         "contract-nan",
         "params-huge-int",

@@ -298,7 +298,7 @@ class TestParamsJson:
             {"pi": {"00": 0.51, "01": 0.75, "10": 0.66, "11": 0.85}, "gamma": 0.44}
         )
         assert params.phi == 1.0
-        assert params.disutility_f == 1.0
+        assert params_to_dict(params)["F"] == 1.0
         assert params.w0 == 0.0 and params.w1 == 0.0
 
     def test_malformed_file_rejected(self):

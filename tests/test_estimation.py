@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from carecontracts import estimation, synthetic
+from carecontracts.domain import ModelParams
 from carecontracts.errors import CohortFormatError, EstimationError, StageError
 from carecontracts.estimation import (
     Cohort,
@@ -847,22 +848,22 @@ def _check_single_field_mutation(row, field, text, layout):
 class TestPipeline:
     def test_recovers_planted_parameters(self, bundled_pipeline):
         spec, truth, result = bundled_pipeline
-        params = result.params
-        assert params.pi00 == pytest.approx(spec.pi00, abs=0.02)
-        assert params.pi01 == pytest.approx(spec.pi01, abs=0.02)
-        assert params.pi10 == pytest.approx(spec.pi10, abs=0.02)
-        assert params.pi11 == pytest.approx(spec.pi11, abs=0.02)
-        assert params.gamma == pytest.approx(spec.gamma, abs=0.02)
+        params, planted = result.params, spec.planted_params()
+        assert params.pi00 == pytest.approx(planted.pi00, abs=0.02)
+        assert params.pi01 == pytest.approx(planted.pi01, abs=0.02)
+        assert params.pi10 == pytest.approx(planted.pi10, abs=0.02)
+        assert params.pi11 == pytest.approx(planted.pi11, abs=0.02)
+        assert params.gamma == pytest.approx(planted.gamma, abs=0.02)
         assert result.diagnostics.n_matched == 2 * result.diagnostics.n_treated
         assert not result.diagnostics.assumption_warnings
 
     def test_recovers_planted_cox_coefficients(self, bundled_pipeline):
-        spec, _, result = bundled_pipeline
+        _, _, result = bundled_pipeline
         assert result.diagnostics.cox_control["beta"] == pytest.approx(
-            spec.beta_control, abs=0.05
+            synthetic.BETA_CONTROL, abs=0.05
         )
         assert result.diagnostics.cox_treated["beta"] == pytest.approx(
-            spec.beta_treated, abs=0.05
+            synthetic.BETA_TREATED, abs=0.05
         )
 
     def test_empty_cohort_fails_at_first_stage(self):
@@ -891,7 +892,7 @@ class TestPipeline:
     def test_assumption_violation_warns_but_succeeds(self):
         # plant an ordering violation: treating good responders hurts them
         spec = SyntheticCohortSpec(
-            n=20_000, treated_fraction=0.5, pi10=0.85, pi11=0.55, gamma=0.5
+            n=20_000, treated_fraction=0.5, planted=ModelParams(0.51, 0.75, 0.85, 0.55, 0.5)
         )
         cohort, _ = generate_cohort(spec, 31)
         result = run_pipeline(cohort)
@@ -919,3 +920,8 @@ def test_intercept_bisection_stops_at_its_fixed_point(n, target):
         else:
             hi = mid
     assert synthetic._solve_intercept(linear, target) == 0.5 * (lo + hi)
+
+
+def test_the_default_cohort_plants_the_case_study(icp_params):
+    assert synthetic.CASE_STUDY == icp_params
+    assert SyntheticCohortSpec().planted_params() == synthetic.CASE_STUDY
