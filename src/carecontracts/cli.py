@@ -27,6 +27,7 @@ from .domain import (
     ModelParams,
     dollars,
     dump_params,
+    json_number,
     load_params,
     params_to_dict,
     read_json,
@@ -136,10 +137,7 @@ def _finite(value) -> bool:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     config = estimation.PipelineConfig(
-        cutoff=args.cutoff,
-        caliper=args.caliper,
-        criterion=args.criterion,
-        orientation=args.orientation,
+        cutoff=args.cutoff, caliper=args.caliper, criterion=args.criterion
     )
     out = Path(args.out)
     if not out.parent.is_dir():
@@ -172,8 +170,8 @@ def _load_contract(spec: str, params: ModelParams) -> Contract:
         return solve_non_negative(params, 0.0).contract
     data = read_json(spec)
     try:
-        payments = {key: float(data[key]) for key in ("p00", "p01", "p10", "p11")}
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        payments = {key: json_number(key, data[key]) for key in ("p00", "p01", "p10", "p11")}
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed contract file {spec}: missing or bad field {exc}") from exc
     for key, value in payments.items():
         if not np.isfinite(value):
@@ -219,19 +217,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    spec = synthetic.SyntheticCohortSpec(n=args.n)
     if args.fixture:
         fixture_path = Path(args.fixture)
         cohort = estimation.load_cohort(args.fixture)
         saving = contextlib.nullcontext()
     else:
         fixture_path = outdir / "cohort.csv"
+        spec = synthetic.SyntheticCohortSpec(n=args.n)
         cohort, _ = synthetic.generate_cohort(spec, args.fixture_seed)
         saving = estimation.saving_cohort(cohort, fixture_path)
     with saving:  # forked children format the CSV while the case study runs
-        result, comparison, report = synthetic.reproduce_case_study(
-            cohort, spec, args.sim_n, args.seed
-        )
+        result, comparison, report = synthetic.reproduce_case_study(cohort, args.sim_n, args.seed)
     dump_params(result.params, outdir / "params.json")
     simulation.export_report_csv(list(comparison.reports), outdir / "policy_comparison.csv")
     report["fixture"] = str(fixture_path)
@@ -317,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="death-before-discharge",
         help="death-before-discharge or death-within:<days>",
     )
-    estimate.add_argument("--orientation", choices=estimation.ORIENTATIONS, default="survival")
     estimate.add_argument("--out", required=True, help="output parameter JSON path")
     estimate.set_defaults(handler=_cmd_estimate)
 

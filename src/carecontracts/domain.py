@@ -318,23 +318,30 @@ def params_to_dict(params: ModelParams) -> dict:
     }
 
 
+def json_number(name: str, value) -> float:
+    """JSON field ``name`` as a float; a string, a boolean or null is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name!r}: {value!r:.40} is not a JSON number")
+    return float(value)
+
+
 def params_from_dict(data: Mapping) -> ModelParams:
     """Parse the schema above; a missing key or a wrong-typed field is a
     ``ParamsFormatError``, a value out of range an ``InvalidParamsError``."""
     try:
         pi = data["pi"]
-        unit = float(data.get("F", 1.0))
+        unit = json_number("F", data.get("F", 1.0))
         values = dict(
-            pi00=float(pi["00"]),
-            pi01=float(pi["01"]),
-            pi10=float(pi["10"]),
-            pi11=float(pi["11"]),
-            gamma=float(data["gamma"]),
-            phi=float(data.get("phi", 1.0)),
-            w0=float(data.get("w0", 0.0)),
-            w1=float(data.get("w1", 0.0)),
+            pi00=json_number("pi.00", pi["00"]),
+            pi01=json_number("pi.01", pi["01"]),
+            pi10=json_number("pi.10", pi["10"]),
+            pi11=json_number("pi.11", pi["11"]),
+            gamma=json_number("gamma", data["gamma"]),
+            phi=json_number("phi", data.get("phi", 1.0)),
+            w0=json_number("w0", data.get("w0", 0.0)),
+            w1=json_number("w1", data.get("w1", 0.0)),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ParamsFormatError(f"malformed parameter file: missing or bad field {exc}") from exc
     if unit != 1.0:
         raise InvalidParamsError(f"F={unit!r} must be 1: payments are in units of F")

@@ -54,7 +54,6 @@ MAX_ITER = 100
 SEPARATION_BAND = 1e-12
 DIVERGENT_BETA = 50.0
 HISTOGRAM_BINS = 40
-ORIENTATIONS = ("survival", "mortality")
 
 
 # Cohort columns after ``id``, in CSV order, with their dtypes.
@@ -821,8 +820,8 @@ class OutcomeRateTable:
     """Cell rates by (responder class, expenditure) plus the class share.
 
     ``counts`` and ``pi_hat`` are read-only 2x2 arrays indexed [class, e];
-    ``pi_hat`` carries the criterion (death) frequency per cell in the
-    requested orientation, NaN for an empty cell, which is logged.
+    ``pi_hat`` carries the survival rate per cell, the complement of the
+    criterion (death) frequency, NaN for an empty cell, which is logged.
     """
 
     counts: np.ndarray
@@ -843,16 +842,12 @@ def outcome_rates(
     table: ResponseScoreTable,
     cohort: Cohort,
     criterion: OutcomeCriterion = death_before_discharge,
-    *,
-    orientation: str = "survival",
 ) -> OutcomeRateTable:
-    """Per-cell criterion rates and the good-responder share.
+    """Per-cell survival rates and the good-responder share.
 
-    The criterion counts deaths; ``orientation="survival"`` reports the
-    complement so the rates line up with survival probabilities.
+    The criterion counts deaths; a cell's rate is their complement, so the
+    rates line up with survival probabilities.
     """
-    if orientation not in ORIENTATIONS:
-        raise EstimationError(f"orientation must be survival or mortality, got {orientation!r}")
     if len(table.classes) != len(cohort):
         raise EstimationError("score table and cohort are misaligned")
     cell = 2 * table.classes + cohort.e
@@ -864,7 +859,7 @@ def outcome_rates(
         log.warning("empty outcome cells: %s", empty)
     return OutcomeRateTable(
         counts=counts.reshape(2, 2),
-        pi_hat=(1.0 - rates if orientation == "survival" else rates).reshape(2, 2),
+        pi_hat=(1.0 - rates).reshape(2, 2),
         gamma_hat=float(np.mean(table.classes)),
     )
 
@@ -879,7 +874,6 @@ class PipelineConfig:
     cutoff: float = 0.0
     caliper: float | None = None
     criterion: str = "death-before-discharge"
-    orientation: str = "survival"
     outcome: OutcomeCriterion = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -887,8 +881,6 @@ class PipelineConfig:
             raise ValueError(f"caliper must be finite and at least 0, got {self.caliper}")
         if not math.isfinite(self.cutoff):
             raise ValueError(f"cutoff must be finite, got {self.cutoff}")
-        if self.orientation not in ORIENTATIONS:
-            raise ValueError(f"orientation must be survival or mortality, got {self.orientation!r}")
         object.__setattr__(self, "outcome", criterion_from_name(self.criterion))
 
 
@@ -940,9 +932,7 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
     fit0 = _stage("fit_cox_control", fit_cox, control_arm)
     fit1 = _stage("fit_cox_treated", fit_cox, treated_arm)
     table = _stage("response_scores", response_scores, fit0, fit1, matched, cutoff=config.cutoff)
-    rates = _stage(
-        "outcome_rates", outcome_rates, table, matched, config.outcome, orientation=config.orientation
-    )
+    rates = _stage("outcome_rates", outcome_rates, table, matched, config.outcome)
     params = _stage("parameter_mapping", rates.to_model_params)
 
     notes = [f"ordering violated: {v}" for v in params.ordering_violations()]

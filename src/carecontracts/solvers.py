@@ -108,7 +108,8 @@ def solve_free_payment(params: ModelParams, p11: float = 1.0) -> FreePaymentSolu
 
 @dataclass(frozen=True)
 class NonNegativeSolution:
-    """A point of the optimal segment: p = (0, t, 0, (1 - t(1-pi11))/pi11)."""
+    """A point of the optimal segment: p = (0, t, 0, (1 - t(1-pi11))/pi11);
+    under label noise, the t = 0 point with a moved ``optimal_value``."""
 
     contract: Contract
     t: float
@@ -138,37 +139,23 @@ def solve_non_negative(params: ModelParams, t: float = 0.0) -> NonNegativeSoluti
     )
 
 
-@dataclass(frozen=True)
-class MisclassifiedSolution:
-    """Unique optimum under label noise, with its objective value m_w."""
-
-    contract: Contract
-    slack_v1: float
-    slack_v2: float
-    optimal_value: float
-    objective: np.ndarray
-
-    def __post_init__(self) -> None:
-        freeze(self, "objective")
-
-
-def solve_non_negative_misclassified(params: ModelParams) -> MisclassifiedSolution:
+def solve_non_negative_misclassified(params: ModelParams) -> NonNegativeSolution:
     """Optimal non-negative contract when responder labels are noisy.
 
-    The optimum is the maximal-gap contract (0, 0, 0, 1/pi11) regardless
-    of the noise rates; only the value moves:
+    The optimum is the maximal-gap t = 0 contract (0, 0, 0, 1/pi11)
+    regardless of the noise rates; only the value moves:
     m_w = gamma * (1 - pi01*w1/pi11 - w0) + pi01*w1/pi11.
     """
     require_ordering(params)
     require_distinct_benefit(params)
     pi01, pi11, g = params.pi01, params.pi11, params.gamma
     leak = pi01 * params.w1 / pi11
-    return MisclassifiedSolution(
+    return NonNegativeSolution(
         contract=Contract(0.0, 0.0, 0.0, 1.0 / pi11),
+        t=0.0,
         slack_v1=0.0,
         slack_v2=1.0 - pi01 / pi11,
         optimal_value=g * (1.0 - leak - params.w0) + leak,
-        objective=payment_coefficients(params, AssignmentRule.MATCHED),
     )
 
 
@@ -444,7 +431,7 @@ def verify_contract(
         solution = solve_non_negative_misclassified(params)
         distance = float(np.linalg.norm(p - solution.contract.as_array()))
         # priced under the params' label noise, unlike the true-label models
-        expected = float(solution.objective @ p)
+        expected = float(payment_coefficients(params, AssignmentRule.MATCHED) @ p)
         gap = expected - solution.optimal_value
     elif model == "risk-averse":
         # the closed form of solve_risk_averse: W = (0, 1, 0, 1), paid at g^-1(W)
@@ -537,10 +524,11 @@ def certify(params: ModelParams, g: UtilityTransform) -> dict[str, bool]:
     noisy = solve_non_negative_misclassified(params)
     noisy_lp = solve_lp(non_negative_lp(params))
     p = noisy.contract.as_array()
+    priced = float(payment_coefficients(params, AssignmentRule.MATCHED) @ p)
     noisy_ok = (
         noisy_lp.status == "optimal"
         and abs(noisy_lp.value - noisy.optimal_value) <= 1e-8
-        and abs(float(noisy.objective @ p) - noisy.optimal_value) <= 1e-10
+        and abs(priced - noisy.optimal_value) <= 1e-10
         and any(
             float(np.max(np.abs(point.solution[:4] - p))) <= 1e-8
             for point in noisy_lp.optimal_points

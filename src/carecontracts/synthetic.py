@@ -30,7 +30,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .domain import ModelParams, dollars, expected_survival, freeze, params_to_dict
+from .domain import ModelParams, dollars, expected_survival, params_to_dict
 from .estimation import Cohort, PipelineConfig, PipelineResult, run_pipeline
 from .simulation import PolicyComparison, comparison_to_dict, compare_policies
 from .solvers import solve_non_negative
@@ -72,16 +72,6 @@ class SyntheticCohortSpec:
         return self.planted
 
 
-@dataclass(frozen=True)
-class SyntheticTruth:
-    """Everything the generator decided, for use as a test oracle."""
-
-    true_classes: np.ndarray
-
-    def __post_init__(self) -> None:
-        freeze(self, "true_classes", dtype=None)
-
-
 def _solve_intercept(linear: np.ndarray, target: float) -> float:
     """Intercept that makes the mean logistic probability hit ``target``."""
     lo, hi = -30.0, 30.0
@@ -96,7 +86,8 @@ def _solve_intercept(linear: np.ndarray, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, SyntheticTruth]:
+def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, np.ndarray]:
+    """The cohort of ``spec`` from ``seed`` and its read-only true classes (1 = good)."""
     delta = np.array(BETA_TREATED) - np.array(BETA_CONTROL)
     # place the covariate mean so P(delta . Z > 0) equals gamma
     mean = NormalDist().inv_cdf(spec.planted.gamma) / float(np.linalg.norm(delta)) * delta
@@ -136,7 +127,9 @@ def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, Synth
         event=np.ones(spec.n, dtype=int),
         z=z,
     )
-    return cohort, SyntheticTruth(true_classes=good.astype(int))
+    true_classes = good.astype(int)
+    true_classes.flags.writeable = False
+    return cohort, true_classes
 
 
 # --- random model parameters ---------------------------------------------------
@@ -185,18 +178,18 @@ def _verdict(name: str, obtained: float, expected: float, tol: float) -> dict:
 
 
 def reproduce_case_study(
-    cohort: Cohort, spec: SyntheticCohortSpec, sim_n: int, seed: int
+    cohort: Cohort, sim_n: int, seed: int
 ) -> tuple[PipelineResult, PolicyComparison, dict]:
     """Estimate, solve and simulate the case study on ``cohort``.
 
     Returns the estimation result, the policy comparison on ``sim_n``
     draws from ``seed``, and the report: obtained-vs-expected verdicts
-    against the planted truth of ``spec`` and the published figures, and
+    against :data:`CASE_STUDY` and the published figures, and
     the published simulation figures side by side with the simulated ones.
     """
     result = run_pipeline(cohort, PipelineConfig())
     estimated = result.params
-    planted = spec.planted
+    planted = CASE_STUDY
     verdicts = [
         _verdict(name, getattr(estimated, name), getattr(planted, name), 0.02)
         for name in ("pi00", "pi01", "pi10", "pi11", "gamma")

@@ -22,15 +22,15 @@ def rng() -> np.random.Generator:
 def bundled_cohort():
     """The full planted cohort (n = 100,000) at the documented default seed."""
     spec = synthetic.SyntheticCohortSpec()
-    cohort, truth = synthetic.generate_cohort(spec, 13)
-    return spec, cohort, truth
+    cohort, true_classes = synthetic.generate_cohort(spec, 13)
+    return spec, cohort, true_classes
 
 
 @pytest.fixture(scope="session")
 def bundled_pipeline(bundled_cohort):
-    spec, cohort, truth = bundled_cohort
+    spec, cohort, true_classes = bundled_cohort
     result = estimation.run_pipeline(cohort, estimation.PipelineConfig())
-    return spec, truth, result
+    return spec, true_classes, result
 
 
 @pytest.fixture(autouse=True)

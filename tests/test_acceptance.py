@@ -13,7 +13,13 @@ import time
 import numpy as np
 
 from carecontracts.cli import main
-from carecontracts.domain import ModelParams, build_normalized_system, dump_params
+from carecontracts.domain import (
+    AssignmentRule,
+    ModelParams,
+    build_normalized_system,
+    dump_params,
+    payment_coefficients,
+)
 from carecontracts.estimation import cox_partial_likelihood, run_pipeline
 from carecontracts.lp import solve_lp
 from carecontracts.simulation import compare_policies
@@ -121,7 +127,8 @@ def test_criterion_4_misclassification():
     for _ in range(200):
         params = sample_model_params(rng, with_noise=True)
         solution = solve_non_negative_misclassified(params)
-        evaluated = float(solution.objective @ solution.contract.as_array())
+        objective = payment_coefficients(params, AssignmentRule.MATCHED)
+        evaluated = float(objective @ solution.contract.as_array())
         ok &= abs(evaluated - solution.optimal_value) <= 1e-10
         oracle = solve_lp(non_negative_lp(params))
         ok &= oracle.status == "optimal" and abs(oracle.value - solution.optimal_value) <= 1e-8
@@ -198,7 +205,7 @@ def test_criterion_5_risk_averse_kkt_and_grid():
 
 
 def test_criterion_6_estimation_recovery(bundled_cohort):
-    spec, cohort, truth = bundled_cohort
+    spec, cohort, true_classes = bundled_cohort
     start = time.perf_counter()
     result = run_pipeline(cohort)
     elapsed = time.perf_counter() - start

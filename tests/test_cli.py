@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -182,45 +183,24 @@ class TestEstimateCommand:
         assert main(["estimate", "--cohort", str(path), "--out", str(tmp_path / "o.json")]) == 1
         assert "[fit_propensity]" in capsys.readouterr().err
 
-    def test_caliper_and_criterion_flags(self, tmp_path, small_cohort_file, capsys):
-        rates = {}
-        for orientation in ("mortality", "survival"):
-            out = tmp_path / f"est_{orientation}.json"
-            code = main(
-                [
-                    "estimate",
-                    "--cohort",
-                    str(small_cohort_file),
-                    "--out",
-                    str(out),
-                    "--caliper",
-                    "0.05",
-                    "--criterion",
-                    "death-within:30",
-                    "--orientation",
-                    orientation,
-                ]
-            )
-            assert code == 0
-            rates[orientation] = json.loads(out.read_text())["pi"]
-        # mortality-oriented rates invert the survival ordering, which the
-        # pipeline flags for downstream solvers
-        assert "warning: ordering violated" in capsys.readouterr().err
-        for cell in ("00", "01", "10", "11"):
-            assert rates["survival"][cell] == pytest.approx(
-                1.0 - rates["mortality"][cell], abs=1e-12
-            )
+    def test_caliper_and_criterion_flags(self, tmp_path, small_cohort_file):
+        out = tmp_path / "est.json"
+        argv = ["estimate", "--cohort", str(small_cohort_file), "--out", str(out)]
+        assert main(argv + ["--caliper", "0.05", "--criterion", "death-within:30"]) == 0
+        assert all(0.0 < rate < 1.0 for rate in json.loads(out.read_text())["pi"].values())
 
     def test_each_assumption_note_printed_once(self, tmp_path):
         """Notes reach stderr once each, as ``warning:`` lines, and never as
-        Python warnings."""
-        cohort, _ = generate_cohort(SyntheticCohortSpec(n=3000, treated_fraction=0.25), 8)
+        Python warnings; a cohort planted with inverted survival cells has some."""
+        inverted = ModelParams(0.51, 0.75, 0.85, 0.55, 0.5)
+        spec = SyntheticCohortSpec(n=3000, treated_fraction=0.25, planted=inverted)
+        cohort, _ = generate_cohort(spec, 8)
         save_cohort(cohort, tmp_path / "cohort.csv")
         path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
         argv = ["estimate", "--cohort", "cohort.csv", "--out", "p.json"]
         run = subprocess.run(
-            [sys.executable, "-m", "carecontracts.cli", *argv, "--orientation", "mortality"],
+            [sys.executable, "-m", "carecontracts.cli", *argv],
             cwd=tmp_path,
             env=env,
             capture_output=True,
@@ -349,6 +329,8 @@ _SIMULATE_FILE = ["simulate", "--params", "{file}", "--n", "1000"]
 _PARAMS = b'{"pi": {"00": 0.51, "01": 0.75, "10": 0.66, "11": 0.85}, "gamma": 0.44'
 _HUGE_P11 = b'{"p00": 0, "p01": 0, "p10": 0, "p11": %s}'
 _NOT_UTF8 = b"\xd4\xc3\xb2\xa1\x02\x00\x04\x00"
+_PI = b'{"pi": {"00": %s, "01": 0.75, "10": 0.66, "11": 0.85}, "gamma": %s}'
+_P00 = b'{"p00": %s, "p01": 0, "p10": 0, "p11": 1}'
 _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
 
 
@@ -459,6 +441,14 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
             2,
             "--out directory {file} does not exist",
         ),
+        (_SOLVE, _PARAMS + b', "F": true}', 2, "bad field 'F': True is not a JSON number"),
+        (_SOLVE, _PI % (b'"0.51"', b"0.44"), 2, "bad field 'pi.00': '0.51' is not a JSON number"),
+        (_SOLVE, _PI % (b"0.51", b"true"), 2, "bad field 'gamma': True is not a JSON number"),
+        (_SIMULATE + ["--contract", "{file}"], _P00 % b"true", 2, "{file}: missing or bad field 'p00'"),
+        (_SIMULATE + ["--contract", "{file}"], _P00 % b'"1e3"', 2, "'p00': '1e3' is not a JSON number"),
+        (_ESTIMATE, b"", 2, "{file}: empty file"),
+        (_ESTIMATE, b"id,e,t,los,event,z2\n", 2, "{file}: line 1: covariate columns must be z1..z1"),
+        (_ESTIMATE + ["--orientation", "survival"], None, 2, "unrecognized arguments: --orientation"),
     ],
     ids=[
         "cohort-header-field-limit",
@@ -509,6 +499,14 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         "reproduce-negative-seed",
         "reproduce-negative-fixture-seed",
         "out-directory-missing",
+        "f-boolean",
+        "pi-string",
+        "gamma-boolean",
+        "contract-boolean",
+        "contract-string",
+        "cohort-empty",
+        "cohort-covariates-misnamed",
+        "orientation-gone",
     ],
 )
 def test_bad_input_exit_code(tmp_path, params_file, capsys, recwarn, argv, content, code, message):
@@ -621,6 +619,29 @@ class TestParserReuse:
             assert main(["verify", "--trials", "1"]) == 0
         # the top-level parser and its five subparsers, once each
         assert len(built) == 6 and built[0] == "carecontracts"
+
+
+def test_readme_usage_matches_the_parser():
+    """Every ``--flag`` of a ``carecontracts <cmd>`` line in a README ``sh``
+    block is an option of that subcommand, and the README names every option."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        command: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for command, sub in subparsers.choices.items()
+    }
+    usage = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            code = line.partition("#")[0]
+            if code.startswith("carecontracts "):
+                usage.append((code.split()[1], set(re.findall(r"--[a-z][a-z0-9-]*", code))))
+    assert {command for command, _ in usage} == set(options)
+    for command, flags in usage:
+        assert flags <= options[command], (command, sorted(flags - options[command]))
+    for command, flags in options.items():
+        unnamed = [flag for flag in sorted(flags) if not re.search(re.escape(flag) + r"(?![\w-])", readme)]
+        assert not unnamed, (command, unnamed)
 
 
 class TestVerifyCommand:

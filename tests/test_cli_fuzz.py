@@ -97,7 +97,6 @@ def _case(draw) -> tuple[list[str], dict[str, bytes]]:
     elif command == "estimate":
         argv += file("--cohort", "cohort") + option("--cutoff", _NUMBERS)
         argv += option("--caliper", _CALIPERS) + option("--criterion", _CRITERIA)
-        argv += option("--orientation", (["survival", "mortality"], ["x"]))
         argv += option("--out", _OUTS, True)
     elif command == "simulate":
         argv += file("--params", draw(st.sampled_from(["params", "noisy-params"])))

@@ -365,20 +365,21 @@ class TestResponseScores:
 
     def test_planted_class_agreement(self, rng):
         spec = SyntheticCohortSpec(n=5000, treated_fraction=0.5)
-        cohort, truth = generate_cohort(spec, 99)
+        cohort, true_classes = generate_cohort(spec, 99)
         arm0 = cohort.take(np.flatnonzero(cohort.e == 0))
         arm1 = cohort.take(np.flatnonzero(cohort.e == 1))
         table = response_scores(fit_cox(arm0), fit_cox(arm1), cohort)
-        agreement = float(np.mean(table.classes == truth.true_classes))
+        agreement = float(np.mean(table.classes == true_classes))
         assert agreement >= 0.95
+        assert true_classes.dtype.kind == "i" and not true_classes.flags.writeable
 
 
 class TestOutcomeRates:
     def test_planted_cell_rates(self, rng):
         spec = SyntheticCohortSpec(n=100_000, treated_fraction=0.5)
-        cohort, truth = generate_cohort(spec, 7)
+        cohort, true_classes = generate_cohort(spec, 7)
         table = estimation.ResponseScoreTable(
-            scores=truth.true_classes.astype(float) - 0.5, classes=truth.true_classes
+            scores=true_classes.astype(float) - 0.5, classes=true_classes
         )
         rates = outcome_rates(table, cohort, death_before_discharge)
         for (r, e), expected in {
@@ -390,16 +391,6 @@ class TestOutcomeRates:
             assert rates.pi_hat[(r, e)] == pytest.approx(expected, abs=0.01)
         assert rates.gamma_hat == pytest.approx(0.44, abs=0.01)
         assert rates.counts.sum() == len(cohort)
-
-    def test_orientation_flag(self, rng):
-        spec = SyntheticCohortSpec(n=2000, treated_fraction=0.5)
-        cohort, truth = generate_cohort(spec, 3)
-        table = estimation.ResponseScoreTable(
-            scores=truth.true_classes.astype(float) - 0.5, classes=truth.true_classes
-        )
-        survival = outcome_rates(table, cohort, death_before_discharge, orientation="survival")
-        mortality = outcome_rates(table, cohort, death_before_discharge, orientation="mortality")
-        assert survival.pi_hat == pytest.approx(1 - mortality.pi_hat, abs=1e-12)
 
     def test_empty_cell_flagged(self, caplog, recwarn):
         cohort = make_cohort(np.zeros((2, 1)), 1, t=[3, 9], los=[10.0, 2.0])
@@ -416,9 +407,9 @@ class TestOutcomeRates:
 
     def test_class_shares_sum_to_one(self, rng):
         spec = SyntheticCohortSpec(n=1000, treated_fraction=0.5)
-        cohort, truth = generate_cohort(spec, 5)
+        cohort, true_classes = generate_cohort(spec, 5)
         table = estimation.ResponseScoreTable(
-            scores=truth.true_classes.astype(float) - 0.5, classes=truth.true_classes
+            scores=true_classes.astype(float) - 0.5, classes=true_classes
         )
         rates = outcome_rates(table, cohort)
         share_bad = float(np.mean(table.classes == 0))
@@ -847,7 +838,7 @@ def _check_single_field_mutation(row, field, text, layout):
 
 class TestPipeline:
     def test_recovers_planted_parameters(self, bundled_pipeline):
-        spec, truth, result = bundled_pipeline
+        spec, true_classes, result = bundled_pipeline
         params, planted = result.params, spec.planted_params()
         assert params.pi00 == pytest.approx(planted.pi00, abs=0.02)
         assert params.pi01 == pytest.approx(planted.pi01, abs=0.02)

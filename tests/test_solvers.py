@@ -180,7 +180,8 @@ class TestMisclassified:
         solution = solve_non_negative_misclassified(params)
         assert solution.optimal_value == pytest.approx(0.4948235294117647, abs=1e-10)
         # the value formula must agree with evaluating the noisy objective
-        evaluated = float(solution.objective @ solution.contract.as_array())
+        objective = payment_coefficients(params, AssignmentRule.MATCHED)
+        evaluated = float(objective @ solution.contract.as_array())
         assert solution.optimal_value == pytest.approx(evaluated, abs=1e-12)
         # and enumeration confirms this vertex is the unique optimum
         oracle = solve_lp(non_negative_lp(params))
@@ -330,6 +331,16 @@ class TestRiskAverse:
             reference.contract.as_array(), abs=1e-12
         )
         assert solution.optimal_value == pytest.approx(reference.optimal_value, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", ["power:0.5", "log"])
+    def test_equal_high_survival_takes_the_lambda2_zero_multipliers(self, spec):
+        """At pi01 == pi11 the stationarity system is singular; the solver
+        takes the lambda2 = 0 member of the multiplier ray, which passes KKT."""
+        g = UtilityTransform.parse(spec)
+        solution = solve_risk_averse(ModelParams(0.4, 0.8, 0.6, 0.8, 0.44), g)
+        assert solution.kkt.max_residual <= 1e-8
+        assert solution.lambda2 == 0.0
+        assert solution.contract == Contract.from_array(g.inverse(np.array([0.0, 1.0, 0.0, 1.0])))
 
     def test_multipliers_nonnegative_on_random_draws(self, rng):
         transforms = [UtilityTransform.power(0.5), UtilityTransform.power(0.9), UtilityTransform.log()]
