@@ -68,31 +68,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     if args.model == "free":
         solution = solve_free_payment(params, args.p11)
-        contract = solution.contract
-        payload["free_p11"] = contract.p11
+        payload["free_p11"] = solution.contract.p11
         payload["sensitivity"] = {
             "dp00_dp11": solution.sensitivity[0],
             "dp01_dp11": solution.sensitivity[1],
             "dp10_dp11": solution.sensitivity[2],
         }
         payload["optimal_value"] = 0.0
-    elif args.model == "nonneg":
-        solution = solve_non_negative(params, args.t)
-        contract = solution.contract
-        payload["t"] = solution.t
-        payload["slacks"] = {"v1": solution.slack_v1, "v2": solution.slack_v2}
-        payload["incentive_gap_dollars"] = dollars(solution.slack_v2, f_dollars)
-        payload["optimal_value"] = solution.optimal_value
-    elif args.model == "nonneg-w":
-        solution = solve_non_negative_misclassified(params)
-        contract = solution.contract
-        payload["slacks"] = {"v1": solution.slack_v1, "v2": solution.slack_v2}
-        payload["incentive_gap_dollars"] = dollars(solution.slack_v2, f_dollars)
-        payload["optimal_value"] = solution.optimal_value
-        payload["noise_raises_cost"] = misclassification_raises_cost(params)
-    else:
+    elif args.model == "risk-averse":
         solution = solve_risk_averse(params, args.g)
-        contract = solution.contract
         payload["transform"] = args.g.name
         payload["w_contract"] = list(solution.w_contract)
         payload["multipliers"] = {
@@ -105,7 +89,19 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         }
         payload["kkt"] = asdict(solution.kkt)
         payload["optimal_value"] = solution.optimal_value
+    else:
+        # nonneg and nonneg-w return the same record
+        if args.model == "nonneg":
+            solution = solve_non_negative(params, args.t)
+            payload["t"] = solution.t
+        else:
+            solution = solve_non_negative_misclassified(params)
+            payload["noise_raises_cost"] = misclassification_raises_cost(params)
+        payload["slacks"] = {"v1": solution.slack_v1, "v2": solution.slack_v2}
+        payload["incentive_gap_dollars"] = dollars(solution.slack_v2, f_dollars)
+        payload["optimal_value"] = solution.optimal_value
 
+    contract = solution.contract
     certificate = verify_contract(params, contract, args.model, g=args.g)
     payload["contract"] = asdict(contract)
     payload["contract_dollars"] = {

@@ -14,8 +14,9 @@ the four maps. Under the params' label noise a map reaches a set of
 (status, expenditure) cells, each with its probability; expected survival
 and every payment coefficient are sums over those cells, a payment
 coefficient through one payment row per cell. Under the matched map
-(0, 1) with true labels every contract model reduces to the vectors
-``c0, c1, c2`` and scalars ``b0, b1, b2``:
+(0, 1) with true labels every contract model reduces to the rows
+``c0, c1, c2`` of one read-only 3x4 matrix and the right-hand sides
+``b0, b1, b2 = REDUCED_RHS = (0, 1, -1)``:
 
 * ``c0 . P`` is the expected payment,
 * ``c1 . P >= b1`` makes intensive care the provider's best action on a
@@ -31,7 +32,7 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import ClassVar, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -157,15 +158,21 @@ def require_ordering(params: ModelParams) -> None:
 
 
 def require_distinct_benefit(params: ModelParams) -> None:
-    """Raise when ``pi01*pi10 == pi00*pi11`` within 1e-12.
+    """Raise when ``pi01*pi10 == pi00*pi11`` or ``pi01 == pi11`` within 1e-12.
 
-    The boundary is rejected explicitly rather than silently returning a
-    degenerate vertex.
+    Both boundaries are rejected explicitly rather than silently returning
+    a degenerate vertex: at ``pi01 == pi11`` the non-negative optimum is a
+    wider face and the risk-averse multipliers are a ray.
     """
     if abs(params.distinct_benefit_margin()) <= 1e-12:
         raise InvalidParamsError(
             "pi01*pi10 == pi00*pi11: responder benefit is identical at both "
             "expenditure levels, the payment family is degenerate"
+        )
+    if params.pi11 - params.pi01 <= 1e-12:
+        raise InvalidParamsError(
+            "pi01 == pi11: good and bad responders survive intensive care alike, "
+            "the optimal contract is not unique"
         )
 
 
@@ -193,27 +200,9 @@ class Contract:
         return ((self.p00, self.p01), (self.p10, self.p11))[q][e]
 
 
-@dataclass(frozen=True)
-class NormalizedSystem:
-    """Coefficient vectors and right-hand sides of the reduced problem; the
-    right-hand sides are constants because payments are in units of F."""
-
-    c0: np.ndarray
-    c1: np.ndarray
-    c2: np.ndarray
-    b0: ClassVar[float] = 0.0
-    b1: ClassVar[float] = 1.0
-    b2: ClassVar[float] = -1.0
-
-    def __post_init__(self) -> None:
-        freeze(self, "c0", "c1", "c2")
-
-    def stacked(self) -> np.ndarray:
-        """Rows c0, c1, c2 as a 3x4 matrix."""
-        return np.vstack([self.c0, self.c1, self.c2])
-
-    def rhs(self) -> np.ndarray:
-        return np.array([self.b0, self.b1, self.b2], dtype=float)
+# Right-hand sides b0, b1, b2 of the reduced system: constants, because
+# payments are in units of F.
+REDUCED_RHS = (0.0, 1.0, -1.0)
 
 
 def _payment_rows(params: ModelParams, cells) -> list[float]:
@@ -240,16 +229,20 @@ def _response_cells(params: ModelParams, response, w0: float, w1: float) -> tupl
     return tuple(zip(shares, (0, 0, 1, 1), response * 2))
 
 
-def build_normalized_system(params: ModelParams) -> NormalizedSystem:
-    """Assemble the reduced constraint system for valid, ordered parameters:
-    the matched map's payment with true labels and each class's incentive as
-    a row difference."""
+def build_normalized_system(params: ModelParams) -> np.ndarray:
+    """The reduced system for valid, ordered parameters as a read-only 3x4
+    matrix with rows ``c0, c1, c2``: the matched map's payment with true
+    labels and each class's incentive as a row difference."""
     require_ordering(params)
-    return NormalizedSystem(
-        c0=_payment_rows(params, _response_cells(params, AssignmentRule.MATCHED.response, 0.0, 0.0)),
-        c1=_payment_rows(params, ((1.0, 1, 1), (-1.0, 1, 0))),
-        c2=_payment_rows(params, ((1.0, 0, 0), (-1.0, 0, 1))),
+    system = np.array(
+        [
+            _payment_rows(params, _response_cells(params, AssignmentRule.MATCHED.response, 0.0, 0.0)),
+            _payment_rows(params, ((1.0, 1, 1), (-1.0, 1, 0))),
+            _payment_rows(params, ((1.0, 0, 0), (-1.0, 0, 1))),
+        ]
     )
+    system.flags.writeable = False
+    return system
 
 
 def expected_survival(params: ModelParams, rule: AssignmentRule | str) -> float:

@@ -22,7 +22,7 @@ by its message:
 - ``ParamsFormatError`` and ``CohortFormatError``: a file that breaks
   its format (exit 2);
 - ``NumericalError``, a routine outside its accuracy envelope, and its
-  ``SingularMatrixError``, which the fits and ``solve_risk_averse`` catch;
+  ``SingularMatrixError``, which the fits catch;
 - ``EstimationError``: a failed fit or match, which ``run_pipeline``
   catches to tag it with its stage as a ``StageError``.
 """

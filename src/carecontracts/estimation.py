@@ -8,8 +8,10 @@ observational cohort:
 3. fit separate Cox proportional-hazards models on the treated and
    control arms of the matched cohort,
 4. score each patient by the covariate-weighted difference of the two
-   coefficient vectors (positive score = good responder),
-5. estimate per-cell outcome rates and the good-responder share.
+   coefficient vectors; the pipeline applies its cutoff (default 0) once,
+   and a score strictly above it marks a good responder,
+5. estimate per-cell outcome rates and the good-responder share from
+   those classes.
 
 Cohort files are CSV with header ``id,e,t,los,event,z1..zp``: treatment
 indicator e, death-in-days t (positive integer), ICU length of stay los
@@ -743,29 +745,9 @@ def fit_cox(group: Cohort) -> CoxFit:
 # --- response scores ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResponseScoreTable:
-    """Per-patient treatment-response scores and responder classes.
-
-    A patient is a good responder when the score strictly exceeds the
-    ``response_scores`` cutoff.
-    """
-
-    scores: np.ndarray
-    classes: np.ndarray
-
-    def __post_init__(self) -> None:
-        freeze(self, "scores", "classes", dtype=None)
-
-
-def response_scores(
-    fit0: CoxFit,
-    fit1: CoxFit,
-    cohort: Cohort,
-    *,
-    cutoff: float = 0.0,
-) -> ResponseScoreTable:
-    """Score = covariates . (treated beta - control beta)."""
+def response_scores(fit0: CoxFit, fit1: CoxFit, cohort: Cohort) -> np.ndarray:
+    """Per-patient score = covariates . (treated beta - control beta);
+    ``run_pipeline`` marks a good responder where it exceeds the cutoff."""
     if fit0.beta.shape != fit1.beta.shape:
         raise EstimationError(
             f"coefficient dimension mismatch: {fit0.beta.shape} vs {fit1.beta.shape}"
@@ -775,11 +757,7 @@ def response_scores(
         raise EstimationError(
             f"cohort has {z.shape[1]} covariates, fits have {fit0.beta.shape[0]}"
         )
-    scores = z @ (fit1.beta - fit0.beta)
-    return ResponseScoreTable(
-        scores=scores,
-        classes=(scores > cutoff).astype(int),
-    )
+    return z @ (fit1.beta - fit0.beta)
 
 
 # --- outcome rates -----------------------------------------------------------
@@ -839,18 +817,19 @@ class OutcomeRateTable:
 
 
 def outcome_rates(
-    table: ResponseScoreTable,
+    classes: np.ndarray,
     cohort: Cohort,
     criterion: OutcomeCriterion = death_before_discharge,
 ) -> OutcomeRateTable:
-    """Per-cell survival rates and the good-responder share.
+    """Per-cell survival rates and the good-responder share, from each
+    patient's responder class (0 or 1).
 
     The criterion counts deaths; a cell's rate is their complement, so the
     rates line up with survival probabilities.
     """
-    if len(table.classes) != len(cohort):
-        raise EstimationError("score table and cohort are misaligned")
-    cell = 2 * table.classes + cohort.e
+    if len(classes) != len(cohort):
+        raise EstimationError("responder classes and cohort are misaligned")
+    cell = 2 * classes + cohort.e
     counts = np.bincount(cell, minlength=4)
     deaths = np.bincount(cell, weights=criterion(cohort), minlength=4)
     rates = np.divide(deaths, counts, out=np.full(4, np.nan), where=counts > 0)
@@ -860,7 +839,7 @@ def outcome_rates(
     return OutcomeRateTable(
         counts=counts.reshape(2, 2),
         pi_hat=(1.0 - rates).reshape(2, 2),
-        gamma_hat=float(np.mean(table.classes)),
+        gamma_hat=float(np.mean(classes)),
     )
 
 
@@ -931,15 +910,15 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
     treated_arm = cohort.take(match.treated)
     fit0 = _stage("fit_cox_control", fit_cox, control_arm)
     fit1 = _stage("fit_cox_treated", fit_cox, treated_arm)
-    table = _stage("response_scores", response_scores, fit0, fit1, matched, cutoff=config.cutoff)
-    rates = _stage("outcome_rates", outcome_rates, table, matched, config.outcome)
+    scores = _stage("response_scores", response_scores, fit0, fit1, matched)
+    classes = (scores > config.cutoff).astype(int)
+    rates = _stage("outcome_rates", outcome_rates, classes, matched, config.outcome)
     params = _stage("parameter_mapping", rates.to_model_params)
 
     notes = [f"ordering violated: {v}" for v in params.ordering_violations()]
     if abs(params.distinct_benefit_margin()) <= 1e-6:
         notes.append("pi01*pi10 is within 1e-6 of pi00*pi11 (degenerate benefit margin)")
 
-    scores = table.scores
     hist_counts, hist_edges = np.histogram(scores, bins=HISTOGRAM_BINS)
     quartiles = np.percentile(scores, [25, 50, 75])
     diagnostics = PipelineDiagnostics(
@@ -959,7 +938,7 @@ def run_pipeline(cohort: Cohort, config: PipelineConfig = PipelineConfig()) -> P
             "median": float(quartiles[1]),
             "q75": float(quartiles[2]),
             "max": float(scores.max()),
-            "fraction_positive": float(np.mean(scores > config.cutoff)),
+            "fraction_positive": float(np.mean(classes)),
         },
         histogram={
             "bin_edges": hist_edges.tolist(),

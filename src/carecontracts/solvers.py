@@ -1,6 +1,9 @@
 """Closed-form optimal contracts for the three provider risk profiles.
 
-Three models share the reduced system (c0, c1, c2 / b0, b1, b2):
+Three models share the reduced system: the rows c0, c1, c2 of
+:func:`~carecontracts.domain.build_normalized_system` and the right-hand
+sides :data:`~carecontracts.domain.REDUCED_RHS`. Each solver here rejects
+parameters where its closed form degenerates.
 
 * free payment: fines allowed, the binding system pins expected payment
   at zero and leaves ``p11`` as the free parameter of an affine family;
@@ -22,10 +25,10 @@ from typing import Callable
 import numpy as np
 
 from .domain import (
+    REDUCED_RHS,
     AssignmentRule,
     Contract,
     ModelParams,
-    NormalizedSystem,
     build_normalized_system,
     expected_survival,
     freeze,
@@ -33,7 +36,7 @@ from .domain import (
     require_distinct_benefit,
     require_ordering,
 )
-from .errors import InvalidParamsError, NumericalError, SingularMatrixError
+from .errors import InvalidParamsError, NumericalError
 from .lp import StandardFormLP, solve_linear_system, solve_lp
 
 FEASIBILITY_TOL = 1e-9
@@ -275,17 +278,19 @@ class RiskAverseSolution:
 
 
 def _kkt_report(
-    system: NormalizedSystem,
+    system: np.ndarray,
     g: UtilityTransform,
     w: np.ndarray,
     lambda1: float,
     lambda2: float,
     mu: np.ndarray,
 ) -> KKTReport:
-    grad = system.c0 * np.asarray(g.inverse_derivative(w), dtype=float)
-    stationarity = float(np.max(np.abs(grad - lambda1 * system.c1 - lambda2 * system.c2 - mu)))
-    slack1 = float(system.c1 @ w - system.b1)
-    slack2 = float(system.c2 @ w - system.b2)
+    c0, c1, c2 = system
+    _, b1, b2 = REDUCED_RHS
+    grad = c0 * np.asarray(g.inverse_derivative(w), dtype=float)
+    stationarity = float(np.max(np.abs(grad - lambda1 * c1 - lambda2 * c2 - mu)))
+    slack1 = float(c1 @ w - b1)
+    slack2 = float(c2 @ w - b2)
     primal = max(0.0, -slack1, -slack2, float(-np.min(w)))
     dual = max(0.0, -lambda1, -lambda2, float(-np.min(mu)))
     comp = max(abs(lambda1 * slack1), abs(lambda2 * slack2), float(np.max(np.abs(mu * w))))
@@ -305,24 +310,15 @@ def solve_risk_averse(params: ModelParams, g: UtilityTransform) -> RiskAverseSol
     require_distinct_benefit(params)
 
     system = build_normalized_system(params)
+    c0, c1, c2 = system
     w = np.array([0.0, 1.0, 0.0, 1.0])
     pay = np.asarray(g.inverse(w), dtype=float)
     slope = np.asarray(g.inverse_derivative(w), dtype=float)
 
-    # Stationarity at W: [c1 | c2 | e1 | e3] (lambda1, lambda2, mu00, mu10) = c0 * inv_slope
-    columns = np.column_stack(
-        [system.c1, system.c2, np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0])]
-    )
-    rhs = system.c0 * slope
-    try:
-        lam1, lam2, mu00, mu10 = solve_linear_system(columns, rhs)
-    except SingularMatrixError:
-        # pi01 == pi11 leaves a multiplier ray; pick its lambda2 = 0 member.
-        lam1 = params.gamma * float(slope[3])
-        lam2 = 0.0
-        mu00 = float(rhs[0] - lam1 * system.c1[0])
-        mu10 = float(rhs[2] - lam1 * system.c1[2])
-
+    # Stationarity at W: [c1 | c2 | e1 | e3] (lambda1, lambda2, mu00, mu10) = c0 * inv_slope;
+    # the matrix has determinant -(pi11 - pi01), which require_distinct_benefit keeps nonzero.
+    columns = np.column_stack([c1, c2, np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0])])
+    lam1, lam2, mu00, mu10 = solve_linear_system(columns, c0 * slope)
     mu = np.array([mu00, 0.0, mu10, 0.0])
     report = _kkt_report(system, g, w, float(lam1), float(lam2), mu)
     if report.max_residual > KKT_TOL:
@@ -397,7 +393,8 @@ def verify_contract(
     ``near_optimal`` flags feasible contracts within ``FAMILY_TOL``
     (euclidean, in payment space) of the known optimal family.
     """
-    system = build_normalized_system(params)
+    c0, c1, c2 = build_normalized_system(params)
+    _, b1, b2 = REDUCED_RHS
     p = contract.as_array()
 
     def status(name: str, value: float, bound: float) -> ConstraintStatus:
@@ -411,14 +408,14 @@ def verify_contract(
             raise InvalidParamsError("risk-averse verification needs a utility transform")
         utility = np.asarray(g.forward(np.maximum(p, 0.0)), dtype=float)
     constraints = [
-        status("treat-good-responders", float(system.c1 @ utility), system.b1),
-        status("spare-bad-responders", float(system.c2 @ utility), system.b2),
+        status("treat-good-responders", float(c1 @ utility), b1),
+        status("spare-bad-responders", float(c2 @ utility), b2),
     ]
     if model != "free":
         for idx, name in enumerate(("p00", "p01", "p10", "p11")):
             constraints.append(status(f"{name} >= 0", float(p[idx]), 0.0))
 
-    expected = float(system.c0 @ p)
+    expected = float(c0 @ p)
     if model == "free":
         constraints.append(status("nonnegative-expected-payment", expected, 0.0))
         family = solve_free_payment(params, 0.0)
@@ -463,17 +460,12 @@ def non_negative_lp(params: ModelParams):
     expected payment under the params' label noise, which is ``c0`` when
     ``w0`` and ``w1`` are zero.
     """
-    system = build_normalized_system(params)
-    eq = np.vstack(
-        [
-            np.concatenate([system.c1, [-1.0, 0.0]]),
-            np.concatenate([system.c2, [0.0, -1.0]]),
-        ]
-    )
+    _, c1, c2 = build_normalized_system(params)
+    eq = np.vstack([np.concatenate([c1, [-1.0, 0.0]]), np.concatenate([c2, [0.0, -1.0]])])
     return StandardFormLP(
         objective=np.concatenate([payment_coefficients(params, AssignmentRule.MATCHED), [0.0, 0.0]]),
         eq_matrix=eq,
-        eq_rhs=np.array([system.b1, system.b2]),
+        eq_rhs=np.array(REDUCED_RHS[1:]),
     )
 
 
@@ -481,9 +473,8 @@ def binding_system_solution(params: ModelParams, p11: float) -> np.ndarray:
     """Independent route to the free-payment contract: direct 3x3 solve
     of the binding system with ``p11`` pinned."""
     system = build_normalized_system(params)
-    stacked = system.stacked()
-    rhs = system.rhs() - stacked[:, 3] * p11
-    head = solve_linear_system(stacked[:, :3], rhs)
+    rhs = np.array(REDUCED_RHS) - system[:, 3] * p11
+    head = solve_linear_system(system[:, :3], rhs)
     return np.append(head, p11)
 
 
@@ -538,8 +529,7 @@ def certify(params: ModelParams, g: UtilityTransform) -> dict[str, bool]:
     # the solver raises on its own residual, so recompute it from the contract it returns
     averse = solve_risk_averse(params, g)
     w = np.asarray(g.forward(averse.contract.as_array()), dtype=float)
-    system = build_normalized_system(params)
-    kkt = _kkt_report(system, g, w, averse.lambda1, averse.lambda2, averse.mu)
+    kkt = _kkt_report(build_normalized_system(params), g, w, averse.lambda1, averse.lambda2, averse.mu)
 
     verdicts = (nonneg_ok, free_ok, noisy_ok, kkt.max_residual <= KKT_TOL)
     return {claim: bool(ok) for claim, ok in zip(CERTIFIED_CLAIMS, verdicts)}

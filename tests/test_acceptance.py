@@ -103,10 +103,10 @@ def test_criterion_3_free_payment_certification():
         p11 = float(rng.uniform(-1.0, 2.0))
         solution = solve_free_payment(params, p11)
         p = solution.contract.as_array()
-        system = build_normalized_system(params)
-        ok &= abs(float(system.c0 @ p)) <= 1e-8
-        ok &= abs(float(system.c1 @ p) - 1.0) <= 1e-8
-        ok &= abs(float(system.c2 @ p) + 1.0) <= 1e-8
+        c0, c1, c2 = build_normalized_system(params)
+        ok &= abs(float(c0 @ p)) <= 1e-8
+        ok &= abs(float(c1 @ p) - 1.0) <= 1e-8
+        ok &= abs(float(c2 @ p) + 1.0) <= 1e-8
         sens = solution.sensitivity
         ok &= sens[0] < 0 and sens[1] < 0 and sens[2] > 0
         h = 1e-4
@@ -149,8 +149,7 @@ def test_criterion_4_misclassification():
 def _grid_search_minimum(params: ModelParams, g: UtilityTransform) -> float:
     """Brute-force minimum of the transformed objective over [0,3]^4 at
     step 0.01, restricted to the two candidate binding patterns."""
-    system = build_normalized_system(params)
-    c0, c1, c2 = system.c0, system.c1, system.c2
+    c0, c1, c2 = build_normalized_system(params)
     grid = np.round(np.arange(0.0, 3.0 + 1e-12, 0.01), 10)
     a, b = np.meshgrid(grid, grid, indexing="ij")
 

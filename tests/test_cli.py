@@ -449,6 +449,12 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         (_ESTIMATE, b"", 2, "{file}: empty file"),
         (_ESTIMATE, b"id,e,t,los,event,z2\n", 2, "{file}: line 1: covariate columns must be z1..z1"),
         (_ESTIMATE + ["--orientation", "survival"], None, 2, "unrecognized arguments: --orientation"),
+        (
+            _SOLVE,
+            b'{"pi": {"00": 0.4, "01": 0.8, "10": 0.6, "11": 0.8}, "gamma": 0.44}',
+            1,
+            "pi01 == pi11: good and bad responders survive intensive care alike",
+        ),
     ],
     ids=[
         "cohort-header-field-limit",
@@ -507,6 +513,7 @@ _TOO_MANY = str(10**18)  # draws whose payments (8 EB) exceed any host's memory
         "cohort-empty",
         "cohort-covariates-misnamed",
         "orientation-gone",
+        "equal-high-survival",
     ],
 )
 def test_bad_input_exit_code(tmp_path, params_file, capsys, recwarn, argv, content, code, message):

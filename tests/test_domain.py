@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carecontracts.domain import (
+    REDUCED_RHS,
     AssignmentRule,
     Contract,
     ModelParams,
@@ -56,13 +57,14 @@ class TestModelParams:
 class TestNormalizedSystem:
     def test_case_study_c0(self, icp_params):
         system = build_normalized_system(icp_params)
-        assert system.c0 == pytest.approx([0.2744, 0.0660, 0.2856, 0.3740], abs=1e-9)
-        assert (system.b0, system.b1, system.b2) == (0.0, 1.0, -1.0)
+        assert system.shape == (3, 4) and not system.flags.writeable
+        assert system[0] == pytest.approx([0.2744, 0.0660, 0.2856, 0.3740], abs=1e-9)
+        assert REDUCED_RHS == (0.0, 1.0, -1.0)
 
     def test_symmetric_c1(self):
         params = ModelParams(pi00=0.5, pi01=0.5, pi10=0.5, pi11=0.5, gamma=0.5)
-        system = build_normalized_system(params)
-        assert system.c1 == pytest.approx([-0.5, 0.5, -0.5, 0.5], abs=0)
+        _, c1, _ = build_normalized_system(params)
+        assert c1 == pytest.approx([-0.5, 0.5, -0.5, 0.5], abs=0)
 
     def test_ordering_violation_rejected(self):
         params = ModelParams(pi00=0.6, pi01=0.5, pi10=0.7, pi11=0.8, gamma=0.5)
@@ -72,9 +74,9 @@ class TestNormalizedSystem:
     @given(st.integers(0, 10**6))
     @settings(max_examples=100, deadline=None)
     def test_c0_sums_to_one(self, seed):
-        system = build_normalized_system(random_params(seed))
-        assert float(system.c0.sum()) == pytest.approx(1.0, abs=1e-12)
-        assert np.all(system.c0 > 0)
+        c0, _, _ = build_normalized_system(random_params(seed))
+        assert float(c0.sum()) == pytest.approx(1.0, abs=1e-12)
+        assert np.all(c0 > 0)
 
 
 @pytest.mark.parametrize("dtype", [float, int, None])
@@ -162,14 +164,15 @@ class TestProviderPayments:
         rng = np.random.default_rng(seed)
         params = sample_model_params(rng)
         contract = Contract(*rng.uniform(-3, 3, 4))
-        system = build_normalized_system(params)
+        _, c1, c2 = build_normalized_system(params)
+        _, b1, b2 = REDUCED_RHS
         p = contract.as_array()
 
-        lhs1 = float(system.c1 @ p - system.b1)
+        lhs1 = float(c1 @ p - b1)
         rhs1 = provider_utility(params, contract, 1, 1) - provider_utility(params, contract, 1, 0)
         assert lhs1 == pytest.approx(rhs1, abs=1e-12)
 
-        lhs2 = float(system.c2 @ p - system.b2)
+        lhs2 = float(c2 @ p - b2)
         rhs2 = provider_utility(params, contract, 0, 0) - provider_utility(params, contract, 0, 1)
         assert lhs2 == pytest.approx(rhs2, abs=1e-12)
 
@@ -188,8 +191,8 @@ class TestProviderPayments:
         rng = np.random.default_rng(seed)
         params = sample_model_params(rng)
         contract = Contract(*rng.uniform(-3, 3, 4))
-        system = build_normalized_system(params)
-        expected = float(system.c0 @ contract.as_array())
+        c0, _, _ = build_normalized_system(params)
+        expected = float(c0 @ contract.as_array())
         assert expected_payment(params, contract, "matched") == expected
 
 
@@ -219,8 +222,7 @@ def test_payment_rows_give_the_paper_formulas_bit_for_bit(icp_params):
     draws += [sample_model_params(rng, with_noise=True) for _ in range(1000)]
     for params in draws:
         c0, c1, c2, noisy = _paper_formulas(params)
-        system = build_normalized_system(params)
-        assert system.stacked().tobytes() == np.vstack([c0, c1, c2]).tobytes()
+        assert build_normalized_system(params).tobytes() == np.vstack([c0, c1, c2]).tobytes()
         assert payment_coefficients(params, AssignmentRule.MATCHED).tobytes() == noisy.tobytes()
         assert non_negative_lp(params).objective[:4].tobytes() == noisy.tobytes()
         clean = params.with_misclassification(0.0, 0.0)
@@ -277,7 +279,7 @@ class TestNoisyClosedForms:
                     assert expected_payment(params, contract, rule) == expected_payment(
                         clean, contract, rule
                     )
-            c0 = build_normalized_system(params).c0
+            c0 = build_normalized_system(params)[0]
             matched = expected_payment(clean, contract, AssignmentRule.MATCHED)
             assert matched == float(c0 @ contract.as_array())
 

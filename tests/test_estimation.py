@@ -162,6 +162,12 @@ class TestMatching:
         with pytest.raises(EstimationError, match="controls for 2 treated and no caliper"):
             match_one_to_one(cohort, np.array([0.4, 0.5, 0.45]))
 
+    @pytest.mark.parametrize("scores", [[0.4, 0.5], [0.4, 0.5, 0.45, 0.6], [[0.4, 0.5, 0.45]]])
+    def test_scores_of_the_wrong_shape_rejected(self, scores):
+        cohort = make_cohort(np.zeros((3, 1)), [1, 0, 0])
+        with pytest.raises(EstimationError, match="^scores must align one-to-one with the cohort$"):
+            match_one_to_one(cohort, scores)
+
     def test_tie_rules(self):
         """Dyadic scores make the distances tie exactly."""
         # treated with equal scores go in index order: r0 takes the exact match
@@ -349,14 +355,12 @@ class TestResponseScores:
     def test_identical_fits_give_zero_scores(self, rng):
         cohort = make_cohort(rng.normal(size=(10, 2)), 0)
         fit = self._fit_like([0.5, -0.2])
-        table = response_scores(fit, fit, cohort)
-        assert np.all(table.scores == 0.0)
-        assert np.all(table.classes == 0)  # strict inequality at the cutoff
+        assert np.all(response_scores(fit, fit, cohort) == 0.0)
 
     def test_dot_product(self):
         cohort = make_cohort([[2.0, 1.0]], 0)
-        table = response_scores(self._fit_like([0.0, 1.0]), self._fit_like([1.0, 0.0]), cohort)
-        assert table.scores[0] == pytest.approx(1.0, abs=1e-15)
+        scores = response_scores(self._fit_like([0.0, 1.0]), self._fit_like([1.0, 0.0]), cohort)
+        assert scores[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_dimension_mismatch(self, rng):
         cohort = make_cohort([[1.0, 2.0]], 0)
@@ -368,8 +372,8 @@ class TestResponseScores:
         cohort, true_classes = generate_cohort(spec, 99)
         arm0 = cohort.take(np.flatnonzero(cohort.e == 0))
         arm1 = cohort.take(np.flatnonzero(cohort.e == 1))
-        table = response_scores(fit_cox(arm0), fit_cox(arm1), cohort)
-        agreement = float(np.mean(table.classes == true_classes))
+        classes = response_scores(fit_cox(arm0), fit_cox(arm1), cohort) > 0.0
+        agreement = float(np.mean(classes == true_classes))
         assert agreement >= 0.95
         assert true_classes.dtype.kind == "i" and not true_classes.flags.writeable
 
@@ -378,10 +382,7 @@ class TestOutcomeRates:
     def test_planted_cell_rates(self, rng):
         spec = SyntheticCohortSpec(n=100_000, treated_fraction=0.5)
         cohort, true_classes = generate_cohort(spec, 7)
-        table = estimation.ResponseScoreTable(
-            scores=true_classes.astype(float) - 0.5, classes=true_classes
-        )
-        rates = outcome_rates(table, cohort, death_before_discharge)
+        rates = outcome_rates(true_classes, cohort, death_before_discharge)
         for (r, e), expected in {
             (0, 0): 0.51,
             (0, 1): 0.75,
@@ -394,9 +395,8 @@ class TestOutcomeRates:
 
     def test_empty_cell_flagged(self, caplog, recwarn):
         cohort = make_cohort(np.zeros((2, 1)), 1, t=[3, 9], los=[10.0, 2.0])
-        table = estimation.ResponseScoreTable(scores=np.array([1.0, 1.0]), classes=np.array([1, 1]))
         with caplog.at_level("WARNING", logger=estimation.__name__):
-            rates = outcome_rates(table, cohort)
+            rates = outcome_rates(np.array([1, 1]), cohort)
         assert "empty outcome cells: [(0, 0), (0, 1), (1, 0)]" in caplog.text
         assert not recwarn.list  # an empty cell is NaN without a numpy warning
         assert np.isnan(rates.pi_hat).tolist() == [[True, True], [True, False]]
@@ -408,12 +408,14 @@ class TestOutcomeRates:
     def test_class_shares_sum_to_one(self, rng):
         spec = SyntheticCohortSpec(n=1000, treated_fraction=0.5)
         cohort, true_classes = generate_cohort(spec, 5)
-        table = estimation.ResponseScoreTable(
-            scores=true_classes.astype(float) - 0.5, classes=true_classes
-        )
-        rates = outcome_rates(table, cohort)
-        share_bad = float(np.mean(table.classes == 0))
+        rates = outcome_rates(true_classes, cohort)
+        share_bad = float(np.mean(true_classes == 0))
         assert rates.gamma_hat + share_bad == 1.0
+
+    def test_misaligned_classes_rejected(self):
+        cohort = make_cohort(np.zeros((3, 1)), [1, 0, 0])
+        with pytest.raises(EstimationError, match="^responder classes and cohort are misaligned$"):
+            outcome_rates(np.array([1, 0]), cohort)
 
     def test_criterion_parsing(self):
         cohort = make_cohort([[0.0]], 0, t=10, los=20.0)
@@ -890,6 +892,28 @@ class TestPipeline:
         assert any(
             note.startswith("ordering violated") for note in result.diagnostics.assumption_warnings
         )
+
+    def test_cutoff_sets_the_good_responder_share(self, monkeypatch):
+        """The pipeline applies its cutoff once: gamma_hat is the matched
+        sample's share of scores strictly above it, as fraction_positive
+        reports, and it falls as the cutoff rises."""
+        cohort, _ = generate_cohort(SyntheticCohortSpec(n=4000, treated_fraction=0.3), 21)
+        scored = []
+
+        def recording(*args):
+            scored.append(response_scores(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(estimation, "response_scores", recording)
+        shares = []
+        for cutoff in (0.0, 0.5):
+            result = run_pipeline(cohort, estimation.PipelineConfig(cutoff=cutoff))
+            share = float(np.mean(scored[-1] > cutoff))
+            assert len(scored[-1]) == result.diagnostics.n_matched
+            assert result.params.gamma == share
+            assert result.diagnostics.score_summary["fraction_positive"] == share
+            shares.append(share)
+        assert shares[1] < shares[0]
 
     def test_histogram_export_shape(self, bundled_pipeline):
         _, _, result = bundled_pipeline

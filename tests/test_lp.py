@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import carecontracts.lp
-from carecontracts.domain import build_normalized_system
+from carecontracts.domain import REDUCED_RHS, build_normalized_system
 from carecontracts.errors import InvalidParamsError, NumericalError, SingularMatrixError
 from carecontracts.lp import (
     DUAL_TOL,
@@ -36,9 +36,8 @@ class TestSolveLinearSystem:
 
     def test_binding_system_matches_closed_form(self, icp_params):
         system = build_normalized_system(icp_params)
-        stacked = system.stacked()
-        rhs = system.rhs() - stacked[:, 3] * 1.0
-        head = solve_linear_system(stacked[:, :3], rhs)
+        rhs = np.array(REDUCED_RHS) - system[:, 3] * 1.0
+        head = solve_linear_system(system[:, :3], rhs)
         assert head == pytest.approx([-1.2602, -1.1359, 0.1637], abs=1e-4)
 
     @given(st.integers(0, 10**6))

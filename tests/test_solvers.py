@@ -32,6 +32,10 @@ from carecontracts.solvers import (
 from carecontracts.synthetic import sample_model_params
 
 
+# pi01 == pi11: good and bad responders survive intensive care alike.
+EQUAL_HIGH_SURVIVAL = ModelParams(0.4, 0.8, 0.6, 0.8, 0.44)
+
+
 def solvable_params(seed: int) -> ModelParams:
     return sample_model_params(np.random.default_rng(seed))
 
@@ -65,10 +69,10 @@ class TestFreePayment:
         p = solution.contract.as_array()
         assert p[:3] == pytest.approx([-1.2602, -1.1359, 0.1637], abs=1e-4)
 
-        system = build_normalized_system(icp_params)
-        assert float(system.c0 @ p) == pytest.approx(0.0, abs=1e-6)
-        assert float(system.c1 @ p) == pytest.approx(1.0, abs=1e-6)
-        assert float(system.c2 @ p) == pytest.approx(-1.0, abs=1e-6)
+        c0, c1, c2 = build_normalized_system(icp_params)
+        assert float(c0 @ p) == pytest.approx(0.0, abs=1e-6)
+        assert float(c1 @ p) == pytest.approx(1.0, abs=1e-6)
+        assert float(c2 @ p) == pytest.approx(-1.0, abs=1e-6)
 
     def test_matches_direct_binding_solve(self, icp_params):
         closed = solve_free_payment(icp_params, p11=1.0).contract.as_array()
@@ -133,16 +137,23 @@ class TestNonNegative:
         """Every member pays gamma in expectation and binds the first incentive."""
         for _ in range(50):
             params = sample_model_params(rng)
-            system = build_normalized_system(params)
+            c0, c1, _ = build_normalized_system(params)
             for t in np.linspace(0.0, 1.0, 11):
                 p = solve_non_negative(params, float(t)).contract.as_array()
-                assert float(system.c0 @ p) == pytest.approx(params.gamma, abs=1e-10)
-                assert float(system.c1 @ p) == pytest.approx(1.0, abs=1e-10)
+                assert float(c0 @ p) == pytest.approx(params.gamma, abs=1e-10)
+                assert float(c1 @ p) == pytest.approx(1.0, abs=1e-10)
                 assert np.all(p >= 0)
 
     def test_t_out_of_range(self, icp_params):
         with pytest.raises(ValueError):
             solve_non_negative(icp_params, t=1.5)
+
+    def test_equal_high_survival_rejected(self):
+        """At pi01 == pi11 the vertex (0, 1/(1 - pi11), 0, 0) also costs gamma, off
+        the closed-form segment; both non-negative solvers refuse the point."""
+        for solve in (solve_non_negative, solve_non_negative_misclassified):
+            with pytest.raises(InvalidParamsError, match=r"^pi01 == pi11: "):
+                solve(EQUAL_HIGH_SURVIVAL)
 
     def test_equal_benefit_ratio_rejected(self):
         # 0.6 * 0.6 == 0.5 * 0.72 exactly
@@ -333,14 +344,11 @@ class TestRiskAverse:
         assert solution.optimal_value == pytest.approx(reference.optimal_value, abs=1e-12)
 
     @pytest.mark.parametrize("spec", ["power:0.5", "log"])
-    def test_equal_high_survival_takes_the_lambda2_zero_multipliers(self, spec):
-        """At pi01 == pi11 the stationarity system is singular; the solver
-        takes the lambda2 = 0 member of the multiplier ray, which passes KKT."""
-        g = UtilityTransform.parse(spec)
-        solution = solve_risk_averse(ModelParams(0.4, 0.8, 0.6, 0.8, 0.44), g)
-        assert solution.kkt.max_residual <= 1e-8
-        assert solution.lambda2 == 0.0
-        assert solution.contract == Contract.from_array(g.inverse(np.array([0.0, 1.0, 0.0, 1.0])))
+    def test_equal_high_survival_rejected(self, spec):
+        """At pi01 == pi11 the stationarity matrix [c1 | c2 | e1 | e3] is
+        singular and the multipliers are a ray, so the solver refuses the point."""
+        with pytest.raises(InvalidParamsError, match=r"^pi01 == pi11: "):
+            solve_risk_averse(EQUAL_HIGH_SURVIVAL, UtilityTransform.parse(spec))
 
     def test_multipliers_nonnegative_on_random_draws(self, rng):
         transforms = [UtilityTransform.power(0.5), UtilityTransform.power(0.9), UtilityTransform.log()]
@@ -391,6 +399,12 @@ class TestCertify:
             params = sample_model_params(rng, with_noise=True)
             verdicts = certify(params, self.TRANSFORMS[i % 2])
             assert verdicts == dict.fromkeys(CERTIFIED_CLAIMS, True)
+
+    def test_equal_high_survival_raises(self):
+        """certify refuses pi01 == pi11 instead of reporting the wider
+        non-negative face as a failed claim."""
+        with pytest.raises(InvalidParamsError, match=r"^pi01 == pi11: "):
+            certify(EQUAL_HIGH_SURVIVAL, self.TRANSFORMS[0])
 
     @pytest.mark.parametrize(
         "claim, closed_form",
