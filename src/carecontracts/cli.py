@@ -20,31 +20,19 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimation, simulation, synthetic
+from . import estimation, simulation, solvers, synthetic
 from .domain import (
     DEFAULT_F_DOLLARS,
     Contract,
     ModelParams,
-    dollars,
     dump_params,
     json_number,
     load_params,
-    params_to_dict,
     read_json,
     write_json,
 )
 from .errors import CareContractsError
-from .solvers import (
-    CERTIFIED_CLAIMS,
-    UtilityTransform,
-    certify,
-    misclassification_raises_cost,
-    solve_free_payment,
-    solve_non_negative,
-    solve_non_negative_misclassified,
-    solve_risk_averse,
-    verify_contract,
-)
+from .solvers import CERTIFIED_CLAIMS, MODELS, UtilityTransform, certify, solve_non_negative
 
 DEFAULT_SEED = 13
 
@@ -59,57 +47,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if not 0 < args.f_dollars < math.inf:
         raise ValueError(f"--f-dollars must be finite and positive, got {args.f_dollars}")
     params = load_params(args.params)
-    f_dollars = args.f_dollars
-    payload: dict = {
-        "model": args.model,
-        "f_dollars": f_dollars,
-        "params": params_to_dict(params),
-    }
-
-    if args.model == "free":
-        solution = solve_free_payment(params, args.p11)
-        payload["free_p11"] = solution.contract.p11
-        payload["sensitivity"] = {
-            "dp00_dp11": solution.sensitivity[0],
-            "dp01_dp11": solution.sensitivity[1],
-            "dp10_dp11": solution.sensitivity[2],
-        }
-        payload["optimal_value"] = 0.0
-    elif args.model == "risk-averse":
-        solution = solve_risk_averse(params, args.g)
-        payload["transform"] = args.g.name
-        payload["w_contract"] = list(solution.w_contract)
-        payload["multipliers"] = {
-            "lambda1": solution.lambda1,
-            "lambda2": solution.lambda2,
-            "mu00": solution.mu[0],
-            "mu01": solution.mu[1],
-            "mu10": solution.mu[2],
-            "mu11": solution.mu[3],
-        }
-        payload["kkt"] = asdict(solution.kkt)
-        payload["optimal_value"] = solution.optimal_value
-    else:
-        # nonneg and nonneg-w return the same record
-        if args.model == "nonneg":
-            solution = solve_non_negative(params, args.t)
-            payload["t"] = solution.t
-        else:
-            solution = solve_non_negative_misclassified(params)
-            payload["noise_raises_cost"] = misclassification_raises_cost(params)
-        payload["slacks"] = {"v1": solution.slack_v1, "v2": solution.slack_v2}
-        payload["incentive_gap_dollars"] = dollars(solution.slack_v2, f_dollars)
-        payload["optimal_value"] = solution.optimal_value
-
-    contract = solution.contract
-    certificate = verify_contract(params, contract, args.model, g=args.g)
-    payload["contract"] = asdict(contract)
-    payload["contract_dollars"] = {
-        key: dollars(value, f_dollars) for key, value in payload["contract"].items()
-    }
-    payload["expected_payment"] = certificate.expected_payment
-    payload["expected_payment_dollars"] = dollars(payload["expected_payment"], f_dollars)
-    payload["certificate"] = asdict(certificate)
+    payload = solvers.solve_report(
+        params, args.model, t=args.t, p11=args.p11, g=args.g, f_dollars=args.f_dollars
+    )
     # Of the flags, only a large --p11 can take a value in F units out of range.
     if not _finite({key: value for key, value in payload.items() if not key.endswith("_dollars")}):
         raise ValueError(f"--p11 must keep the contract finite, got {args.p11}")
@@ -291,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     solve = subparsers.add_parser("solve", help="compute an optimal contract")
-    solve.add_argument("--model", required=True, choices=["free", "nonneg", "nonneg-w", "risk-averse"])
+    solve.add_argument("--model", required=True, choices=MODELS)
     solve.add_argument("--params", required=True, help="model parameter JSON file")
     solve.add_argument("--t", type=float, default=0.0, help="non-negative family parameter in [0,1]")
     solve.add_argument("--p11", type=float, default=1.0, help="free-payment family parameter")

@@ -188,13 +188,6 @@ class Contract:
     def as_array(self) -> np.ndarray:
         return np.array([self.p00, self.p01, self.p10, self.p11], dtype=float)
 
-    @classmethod
-    def from_array(cls, vec) -> "Contract":
-        p = np.asarray(vec, dtype=float)
-        if p.shape != (4,):
-            raise InvalidParamsError(f"contract vector must have 4 entries, got shape {p.shape}")
-        return cls(*map(float, p))
-
     def payment(self, q: int, e: int) -> float:
         """Payment for outcome ``q`` under expenditure ``e``."""
         return ((self.p00, self.p01), (self.p10, self.p11))[q][e]

@@ -829,6 +829,9 @@ def outcome_rates(
     """
     if len(classes) != len(cohort):
         raise EstimationError("responder classes and cohort are misaligned")
+    # min and max, not a mask: three temporary masks raised perfbench estimate's peak RSS 2.6 %.
+    if classes.dtype.kind not in "biu" or (len(classes) and not 0 <= classes.min() <= classes.max() <= 1):
+        raise EstimationError("responder classes must be 0 or 1")
     cell = 2 * classes + cohort.e
     counts = np.bincount(cell, minlength=4)
     deaths = np.bincount(cell, weights=criterion(cohort), minlength=4)

@@ -19,7 +19,7 @@ Every solver here has an independent brute-force counterpart in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,8 +30,11 @@ from .domain import (
     Contract,
     ModelParams,
     build_normalized_system,
+    dollars,
+    expected_payment,
     expected_survival,
     freeze,
+    params_to_dict,
     payment_coefficients,
     require_distinct_benefit,
     require_ordering,
@@ -46,6 +49,7 @@ PROBE_UPPER = 4.0
 # Strictness margin on the solvability condition s1 < 1; values this close
 # to the boundary produce numerically useless contracts.
 SOLVABILITY_MARGIN = 1e-6
+MODELS = ("free", "nonneg", "nonneg-w", "risk-averse")
 
 
 # --- free payment model -----------------------------------------------------
@@ -327,7 +331,7 @@ def solve_risk_averse(params: ModelParams, g: UtilityTransform) -> RiskAverseSol
         )
     return RiskAverseSolution(
         w_contract=w,
-        contract=Contract.from_array(pay),
+        contract=Contract(*map(float, pay)),
         lambda1=float(lam1),
         lambda2=float(lam2),
         mu=mu,
@@ -387,8 +391,8 @@ def verify_contract(
     *,
     g: UtilityTransform | None = None,
 ) -> ContractCertificate:
-    """Audit ``contract`` against model ``model`` in {free, nonneg, nonneg-w,
-    risk-averse}; reports signed slacks, never raises on infeasibility.
+    """Audit ``contract`` against ``model``, one of :data:`MODELS`; reports
+    signed slacks, never raises on infeasibility.
 
     ``near_optimal`` flags feasible contracts within ``FAMILY_TOL``
     (euclidean, in payment space) of the known optimal family.
@@ -428,7 +432,7 @@ def verify_contract(
         solution = solve_non_negative_misclassified(params)
         distance = float(np.linalg.norm(p - solution.contract.as_array()))
         # priced under the params' label noise, unlike the true-label models
-        expected = float(payment_coefficients(params, AssignmentRule.MATCHED) @ p)
+        expected = expected_payment(params, contract, AssignmentRule.MATCHED)
         gap = expected - solution.optimal_value
     elif model == "risk-averse":
         # the closed form of solve_risk_averse: W = (0, 1, 0, 1), paid at g^-1(W)
@@ -448,6 +452,65 @@ def verify_contract(
         distance_to_optimal_family=distance,
         near_optimal=bool(feasible and distance <= FAMILY_TOL),
     )
+
+
+def solve_report(
+    params: ModelParams, model: str, *, t: float, p11: float, g: UtilityTransform, f_dollars: float
+) -> dict:
+    """The ``solve`` payload: the optimal contract of ``model`` with its own
+    fields, in F units and in dollars at ``f_dollars``, and its certificate."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}, expected one of {', '.join(MODELS)}")
+    payload: dict = {
+        "model": model,
+        "f_dollars": f_dollars,
+        "params": params_to_dict(params),
+    }
+
+    if model == "free":
+        solution = solve_free_payment(params, p11)
+        payload["free_p11"] = solution.contract.p11
+        payload["sensitivity"] = {
+            "dp00_dp11": solution.sensitivity[0],
+            "dp01_dp11": solution.sensitivity[1],
+            "dp10_dp11": solution.sensitivity[2],
+        }
+        payload["optimal_value"] = 0.0
+    elif model == "risk-averse":
+        solution = solve_risk_averse(params, g)
+        payload["transform"] = g.name
+        payload["w_contract"] = list(solution.w_contract)
+        payload["multipliers"] = {
+            "lambda1": solution.lambda1,
+            "lambda2": solution.lambda2,
+            "mu00": solution.mu[0],
+            "mu01": solution.mu[1],
+            "mu10": solution.mu[2],
+            "mu11": solution.mu[3],
+        }
+        payload["kkt"] = asdict(solution.kkt)
+        payload["optimal_value"] = solution.optimal_value
+    else:
+        # nonneg and nonneg-w return the same record
+        if model == "nonneg":
+            solution = solve_non_negative(params, t)
+            payload["t"] = solution.t
+        else:
+            solution = solve_non_negative_misclassified(params)
+            payload["noise_raises_cost"] = misclassification_raises_cost(params)
+        payload["slacks"] = {"v1": solution.slack_v1, "v2": solution.slack_v2}
+        payload["incentive_gap_dollars"] = dollars(solution.slack_v2, f_dollars)
+        payload["optimal_value"] = solution.optimal_value
+
+    certificate = verify_contract(params, solution.contract, model, g=g)
+    payload["contract"] = asdict(solution.contract)
+    payload["contract_dollars"] = {
+        key: dollars(value, f_dollars) for key, value in payload["contract"].items()
+    }
+    payload["expected_payment"] = certificate.expected_payment
+    payload["expected_payment_dollars"] = dollars(payload["expected_payment"], f_dollars)
+    payload["certificate"] = asdict(certificate)
+    return payload
 
 
 # --- oracle bridges ----------------------------------------------------------
@@ -515,7 +578,7 @@ def certify(params: ModelParams, g: UtilityTransform) -> dict[str, bool]:
     noisy = solve_non_negative_misclassified(params)
     noisy_lp = solve_lp(non_negative_lp(params))
     p = noisy.contract.as_array()
-    priced = float(payment_coefficients(params, AssignmentRule.MATCHED) @ p)
+    priced = expected_payment(params, noisy.contract, AssignmentRule.MATCHED)
     noisy_ok = (
         noisy_lp.status == "optimal"
         and abs(noisy_lp.value - noisy.optimal_value) <= 1e-8

@@ -110,7 +110,6 @@ class TestSolveCommand:
             calls.append(args)
             return solve_risk_averse(*args)
 
-        monkeypatch.setattr(cli, "solve_risk_averse", counted)
         monkeypatch.setattr(solvers, "solve_risk_averse", counted)
         argv = ["solve", "--model", "risk-averse", "--params", str(params_file), "--g", g]
         assert main(argv) == 0
@@ -649,6 +648,20 @@ def test_readme_usage_matches_the_parser():
     for command, flags in options.items():
         unnamed = [flag for flag in sorted(flags) if not re.search(re.escape(flag) + r"(?![\w-])", readme)]
         assert not unnamed, (command, unnamed)
+
+
+def test_readme_models_match_the_solvers():
+    """The models the README's ``solve`` section names ("Models: `free` …"),
+    in order, are ``solvers.MODELS``."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"^Models: (.*?)\.\s", readme, flags=re.S | re.M).group(1)
+    assert tuple(re.findall(r"`([a-z][\w-]*)`", sentence)) == solvers.MODELS
+
+
+def test_model_choices_are_the_solvers_models():
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    (model,) = [a for a in subparsers.choices["solve"]._actions if a.dest == "model"]
+    assert model.choices == solvers.MODELS
 
 
 class TestVerifyCommand:

@@ -417,6 +417,12 @@ class TestOutcomeRates:
         with pytest.raises(EstimationError, match="^responder classes and cohort are misaligned$"):
             outcome_rates(np.array([1, 0]), cohort)
 
+    @pytest.mark.parametrize("classes", [[2, 0, 0], [-1, 0, 0], [0.5, 0, 1.0]])
+    def test_classes_other_than_0_and_1_rejected(self, classes):
+        cohort = make_cohort(np.zeros((3, 1)), [1, 0, 0])
+        with pytest.raises(EstimationError, match="^responder classes must be 0 or 1$"):
+            outcome_rates(np.array(classes), cohort)
+
     def test_criterion_parsing(self):
         cohort = make_cohort([[0.0]], 0, t=10, los=20.0)
         assert criterion_from_name("death-before-discharge")(cohort).tolist() == [1]

@@ -11,7 +11,7 @@ PACKAGE = ROOT / "src" / "carecontracts"
 MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 # Kept for the payer's envelope over response maps (ROADMAP item 9), with
 # the helpers only they call.
-KEPT_FOR_LATER = {"payer_utility", "provider_utility", "expected_payment", "provider_expected_payment"}
+KEPT_FOR_LATER = {"payer_utility", "provider_utility", "provider_expected_payment"}
 
 
 def _package_trees() -> list[ast.Module]:

@@ -18,6 +18,7 @@ from carecontracts import solvers
 from carecontracts.lp import solve_lp
 from carecontracts.solvers import (
     CERTIFIED_CLAIMS,
+    MODELS,
     UtilityTransform,
     binding_system_solution,
     certify,
@@ -26,6 +27,7 @@ from carecontracts.solvers import (
     solve_free_payment,
     solve_non_negative,
     solve_non_negative_misclassified,
+    solve_report,
     solve_risk_averse,
     verify_contract,
 )
@@ -391,6 +393,39 @@ class TestVerifyContract:
         assert certificate.feasible and certificate.near_optimal
 
 
+class TestSolveReport:
+    SHARED = {
+        "model",
+        "f_dollars",
+        "params",
+        "optimal_value",
+        "contract",
+        "contract_dollars",
+        "expected_payment",
+        "expected_payment_dollars",
+        "certificate",
+    }
+    OWN = {
+        "free": {"free_p11", "sensitivity"},
+        "nonneg": {"t", "slacks", "incentive_gap_dollars"},
+        "nonneg-w": {"noise_raises_cost", "slacks", "incentive_gap_dollars"},
+        "risk-averse": {"transform", "w_contract", "multipliers", "kkt"},
+    }
+
+    @pytest.mark.parametrize("model", MODELS)
+    def test_every_model_is_certified(self, icp_params, model):
+        report = solve_report(
+            icp_params, model, t=0.0, p11=1.0, g=UtilityTransform.log(), f_dollars=10_000.0
+        )
+        assert set(report) == self.SHARED | self.OWN[model]
+        assert report["model"] == report["certificate"]["model"] == model
+        assert report["certificate"]["feasible"] and report["certificate"]["near_optimal"]
+
+    def test_unknown_model_rejected(self, icp_params):
+        with pytest.raises(ValueError, match="^unknown model 'cubic', expected one of free, "):
+            solve_report(icp_params, "cubic", t=0.0, p11=1.0, g=UtilityTransform.log(), f_dollars=1.0)
+
+
 class TestCertify:
     TRANSFORMS = (UtilityTransform.power(0.5), UtilityTransform.log())
 
@@ -426,7 +461,7 @@ class TestCertify:
 
         def perturbed(*args, **kwargs):
             solution = original(*args, **kwargs)
-            shifted = Contract.from_array(solution.contract.as_array() + 1e-3)
+            shifted = Contract(*map(float, solution.contract.as_array() + 1e-3))
             return dataclasses.replace(solution, contract=shifted)
 
         monkeypatch.setattr(solvers, closed_form, perturbed)
