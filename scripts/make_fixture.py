@@ -13,12 +13,30 @@ from carecontracts.estimation import save_cohort
 from carecontracts.synthetic import BETA_CONTROL, BETA_TREATED, SyntheticCohortSpec, generate_cohort
 
 
+def at_least(low: int):
+    """An argparse type for an integer flag of at least ``low``."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:  # a ValueError reads "invalid integer value"
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
+def fraction(text: str) -> float:
+    """An argparse type for a share strictly between 0 and 1."""
+    if not 0.0 < float(text) < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text}")
+    return float(text)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="cohort.csv", help="output CSV path")
-    parser.add_argument("--n", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument("--treated-fraction", type=float, default=0.10)
+    parser.add_argument("--n", type=at_least(1), default=100_000)
+    parser.add_argument("--seed", type=at_least(0), default=13)
+    parser.add_argument("--treated-fraction", type=fraction, default=0.10)
     args = parser.parse_args()
 
     spec = SyntheticCohortSpec(n=args.n, treated_fraction=args.treated_fraction)

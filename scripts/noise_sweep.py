@@ -16,13 +16,31 @@ from carecontracts.solvers import misclassification_raises_cost, solve_non_negat
 from carecontracts.synthetic import CASE_STUDY
 
 
+def at_least(low: int):
+    """An argparse type for an integer flag of at least ``low``."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:  # a ValueError reads "invalid integer value"
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
+def noise_rate(text: str) -> float:
+    """An argparse type for a label-noise rate in [0, 1)."""
+    if not 0.0 <= float(text) < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {text}")
+    return float(text)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--params", default=None, help="parameter JSON (default: bundled case study)")
-    parser.add_argument("--steps", type=int, default=5, help="grid points per noise axis")
-    parser.add_argument("--max-noise", type=float, default=0.4)
-    parser.add_argument("--n", type=int, default=200_000)
-    parser.add_argument("--seed", type=int, default=13)
+    parser.add_argument("--steps", type=at_least(1), default=5, help="grid points per noise axis")
+    parser.add_argument("--max-noise", type=noise_rate, default=0.4)
+    parser.add_argument("--n", type=at_least(2), default=200_000)
+    parser.add_argument("--seed", type=at_least(0), default=13)
     args = parser.parse_args()
 
     base = load_params(args.params) if args.params else CASE_STUDY

@@ -340,30 +340,7 @@ def solve_risk_averse(params: ModelParams, g: UtilityTransform) -> RiskAverseSol
     )
 
 
-# --- feasibility / optimality certification -----------------------------------
-
-
-@dataclass(frozen=True)
-class ConstraintStatus:
-    name: str
-    value: float
-    bound: float
-    slack: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
-class ContractCertificate:
-    """Report-only audit of a contract against one model's constraints; only
-    ``nonneg-w`` prices ``expected_payment`` under the params' label noise."""
-
-    model: str
-    feasible: bool
-    constraints: tuple[ConstraintStatus, ...]
-    expected_payment: float
-    optimality_gap: float
-    distance_to_optimal_family: float
-    near_optimal: bool
+# --- the solve payload and its certificate -----------------------------------
 
 
 def _nonneg_segment_ends(params: ModelParams) -> tuple[np.ndarray, ...]:
@@ -384,89 +361,30 @@ def _line_distance(x: np.ndarray, point: np.ndarray, direction: np.ndarray) -> f
     return float(np.linalg.norm(offset - (offset @ d) * d))
 
 
-def verify_contract(
-    params: ModelParams,
-    contract: Contract,
-    model: str,
-    *,
-    g: UtilityTransform | None = None,
-) -> ContractCertificate:
-    """Audit ``contract`` against ``model``, one of :data:`MODELS`; reports
-    signed slacks, never raises on infeasibility.
-
-    ``near_optimal`` flags feasible contracts within ``FAMILY_TOL``
-    (euclidean, in payment space) of the known optimal family.
-    """
-    c0, c1, c2 = build_normalized_system(params)
-    _, b1, b2 = REDUCED_RHS
-    p = contract.as_array()
-
-    def status(name: str, value: float, bound: float) -> ConstraintStatus:
-        slack = value - bound
-        return ConstraintStatus(name, value, bound, slack, slack >= -FEASIBILITY_TOL)
-
-    # the risk-averse provider weighs incentives in transformed payments
-    utility = p
-    if model == "risk-averse":
-        if g is None:
-            raise InvalidParamsError("risk-averse verification needs a utility transform")
-        utility = np.asarray(g.forward(np.maximum(p, 0.0)), dtype=float)
-    constraints = [
-        status("treat-good-responders", float(c1 @ utility), b1),
-        status("spare-bad-responders", float(c2 @ utility), b2),
-    ]
-    if model != "free":
-        for idx, name in enumerate(("p00", "p01", "p10", "p11")):
-            constraints.append(status(f"{name} >= 0", float(p[idx]), 0.0))
-
-    expected = float(c0 @ p)
-    if model == "free":
-        constraints.append(status("nonnegative-expected-payment", expected, 0.0))
-        family = solve_free_payment(params, 0.0)
-        distance = _line_distance(p, family.contract.as_array(), np.append(family.sensitivity, 1.0))
-        gap = abs(expected - 0.0)
-    elif model == "nonneg":
-        distance = _segment_distance(p, *_nonneg_segment_ends(params))
-        gap = expected - params.gamma
-    elif model == "nonneg-w":
-        solution = solve_non_negative_misclassified(params)
-        distance = float(np.linalg.norm(p - solution.contract.as_array()))
-        # priced under the params' label noise, unlike the true-label models
-        expected = expected_payment(params, contract, AssignmentRule.MATCHED)
-        gap = expected - solution.optimal_value
-    elif model == "risk-averse":
-        # the closed form of solve_risk_averse: W = (0, 1, 0, 1), paid at g^-1(W)
-        optimum = np.asarray(g.inverse(np.array([0.0, 1.0, 0.0, 1.0])), dtype=float)
-        distance = float(np.linalg.norm(p - optimum))
-        gap = expected - params.gamma * float(optimum[1])
-    else:
-        raise ValueError(f"unknown model kind {model!r}")
-
-    feasible = all(c.satisfied for c in constraints)
-    return ContractCertificate(
-        model=model,
-        feasible=feasible,
-        constraints=tuple(constraints),
-        expected_payment=expected,
-        optimality_gap=float(gap),
-        distance_to_optimal_family=distance,
-        near_optimal=bool(feasible and distance <= FAMILY_TOL),
-    )
-
-
 def solve_report(
     params: ModelParams, model: str, *, t: float, p11: float, g: UtilityTransform, f_dollars: float
 ) -> dict:
-    """The ``solve`` payload: the optimal contract of ``model`` with its own
-    fields, in F units and in dollars at ``f_dollars``, and its certificate."""
+    """The ``solve`` payload: the optimal contract of ``model``, one of
+    :data:`MODELS`, with its own fields, in F units and in dollars at
+    ``f_dollars``, and its certificate.
+
+    The certificate audits that contract against the model's constraints
+    with signed slacks; ``near_optimal`` flags a feasible contract within
+    ``FAMILY_TOL`` (euclidean, in payment space) of the optimal family.
+    """
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}, expected one of {', '.join(MODELS)}")
+    c0, c1, c2 = build_normalized_system(params)
     payload: dict = {
         "model": model,
         "f_dollars": f_dollars,
         "params": params_to_dict(params),
     }
 
+    # Each branch prices its contract, measures its distance to the optimal
+    # family and names the payments its incentive rows weigh. The free model's
+    # fines swap the floor on each payment for one on the expected payment.
+    floors = None
     if model == "free":
         solution = solve_free_payment(params, p11)
         payload["free_p11"] = solution.contract.p11
@@ -476,6 +394,12 @@ def solve_report(
             "dp10_dp11": solution.sensitivity[2],
         }
         payload["optimal_value"] = 0.0
+        incentives = p = solution.contract.as_array()
+        expected = float(c0 @ p)
+        gap = abs(expected)
+        family = solve_free_payment(params, 0.0)
+        distance = _line_distance(p, family.contract.as_array(), np.append(family.sensitivity, 1.0))
+        floors = [("nonnegative-expected-payment", expected, 0.0)]
     elif model == "risk-averse":
         solution = solve_risk_averse(params, g)
         payload["transform"] = g.name
@@ -490,26 +414,66 @@ def solve_report(
         }
         payload["kkt"] = asdict(solution.kkt)
         payload["optimal_value"] = solution.optimal_value
+        p = solution.contract.as_array()
+        # the risk-averse provider weighs incentives in transformed payments
+        incentives = np.asarray(g.forward(np.maximum(p, 0.0)), dtype=float)
+        expected = float(c0 @ p)
+        gap = expected - solution.optimal_value
+        distance = 0.0  # the optimum is one point, and the solver returned it
     else:
         # nonneg and nonneg-w return the same record
         if model == "nonneg":
             solution = solve_non_negative(params, t)
             payload["t"] = solution.t
+            incentives = p = solution.contract.as_array()
+            expected = float(c0 @ p)
+            distance = _segment_distance(p, *_nonneg_segment_ends(params))
         else:
             solution = solve_non_negative_misclassified(params)
             payload["noise_raises_cost"] = misclassification_raises_cost(params)
+            incentives = solution.contract.as_array()
+            # priced under the params' label noise, unlike the true-label models
+            expected = expected_payment(params, solution.contract, AssignmentRule.MATCHED)
+            distance = 0.0  # the optimum is one point, and the solver returned it
         payload["slacks"] = {"v1": solution.slack_v1, "v2": solution.slack_v2}
         payload["incentive_gap_dollars"] = dollars(solution.slack_v2, f_dollars)
         payload["optimal_value"] = solution.optimal_value
+        gap = expected - solution.optimal_value
 
-    certificate = verify_contract(params, solution.contract, model, g=g)
     payload["contract"] = asdict(solution.contract)
     payload["contract_dollars"] = {
         key: dollars(value, f_dollars) for key, value in payload["contract"].items()
     }
-    payload["expected_payment"] = certificate.expected_payment
-    payload["expected_payment_dollars"] = dollars(payload["expected_payment"], f_dollars)
-    payload["certificate"] = asdict(certificate)
+    payload["expected_payment"] = expected
+    payload["expected_payment_dollars"] = dollars(expected, f_dollars)
+
+    _, b1, b2 = REDUCED_RHS
+    rows = [
+        ("treat-good-responders", float(c1 @ incentives), b1),
+        ("spare-bad-responders", float(c2 @ incentives), b2),
+    ]
+    payments = payload["contract"].items()
+    rows += floors or [(f"{key} >= 0", float(value), 0.0) for key, value in payments]
+    constraints = [
+        {
+            "name": name,
+            "value": value,
+            "bound": bound,
+            "slack": value - bound,
+            "satisfied": value - bound >= -FEASIBILITY_TOL,
+        }
+        for name, value, bound in rows
+    ]
+    feasible = all(c["satisfied"] for c in constraints)
+    payload["certificate"] = {
+        "model": model,
+        "feasible": feasible,
+        "constraints": constraints,
+        "expected_payment": expected,
+        "optimality_gap": gap,
+        "distance_to_optimal_family": distance,
+        "near_optimal": feasible and distance <= FAMILY_TOL,
+    }
     return payload
 
 

@@ -15,7 +15,6 @@ from carecontracts.domain import ModelParams, dump_params, write_json
 from carecontracts.errors import EstimationError
 from carecontracts.synthetic import SyntheticCohortSpec, generate_cohort
 from carecontracts.estimation import Cohort, save_cohort
-from carecontracts.solvers import solve_risk_averse
 
 
 @pytest.fixture
@@ -102,16 +101,27 @@ class TestSolveCommand:
         assert data["multipliers"]["lambda2"] == pytest.approx(0.0, abs=1e-10)
         assert data["optimal_value"] == pytest.approx(0.44 * (np.e - 1), abs=1e-9)
 
-    @pytest.mark.parametrize("g", ["power:0.5", "log"])
-    def test_risk_averse_model_solves_once(self, params_file, capsys, monkeypatch, g):
+    @pytest.mark.parametrize(
+        "model, solver, g",
+        [
+            ("risk-averse", "solve_risk_averse", "power:0.5"),
+            ("risk-averse", "solve_risk_averse", "log"),
+            ("nonneg-w", "solve_non_negative_misclassified", "power:0.5"),
+        ],
+        ids=["power:0.5", "log", "nonneg-w"],
+    )
+    def test_risk_averse_model_solves_once(self, params_file, capsys, monkeypatch, model, solver, g):
+        """The certificate reads the solution its own solve returned: one call
+        for risk-averse under either transform, and one for nonneg-w."""
         calls = []
+        original = getattr(solvers, solver)
 
         def counted(*args):
             calls.append(args)
-            return solve_risk_averse(*args)
+            return original(*args)
 
-        monkeypatch.setattr(solvers, "solve_risk_averse", counted)
-        argv = ["solve", "--model", "risk-averse", "--params", str(params_file), "--g", g]
+        monkeypatch.setattr(solvers, solver, counted)
+        argv = ["solve", "--model", model, "--params", str(params_file), "--g", g]
         assert main(argv) == 0
         assert len(calls) == 1
         certificate = json.loads(capsys.readouterr().out)["certificate"]

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from carecontracts.domain import ModelParams
 from carecontracts.estimation import load_cohort, save_cohort
@@ -39,6 +40,34 @@ def test_noise_sweep_prints_the_closed_form_value(monkeypatch, capsys):
         value = solve_non_negative_misclassified(base.with_misclassification(w0, w1)).optimal_value
         assert row[:3] == [f"{w0:.2f}", f"{w1:.2f}", f"{value:.4f}"]
         assert row[5] in ("yes", "no")
+
+
+@pytest.mark.parametrize(
+    "script, argv, flag",
+    [
+        ("noise_sweep.py", ["--n", "1"], "--n"),
+        ("noise_sweep.py", ["--max-noise", "1"], "--max-noise"),
+        ("noise_sweep.py", ["--max-noise", "-0.1"], "--max-noise"),
+        ("noise_sweep.py", ["--steps", "-1"], "--steps"),
+        ("noise_sweep.py", ["--seed", "-1"], "--seed"),
+        ("make_fixture.py", ["--n", "-5"], "--n"),
+        ("make_fixture.py", ["--n", "0"], "--n"),
+        ("make_fixture.py", ["--treated-fraction", "1.5"], "--treated-fraction"),
+        ("make_fixture.py", ["--treated-fraction", "0"], "--treated-fraction"),
+        ("make_fixture.py", ["--seed", "-1"], "--seed"),
+    ],
+)
+def test_out_of_range_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, script, argv, flag):
+    """Each script rejects the flag at parse time: exit 2 and a usage
+    message naming it, before any cohort is written or any sweep runs."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", [script, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"error: argument {flag}: " in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
 
 
 def test_bench_writes_its_file_in_the_current_directory(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from carecontracts.solvers import (
     solve_non_negative_misclassified,
     solve_report,
     solve_risk_averse,
-    verify_contract,
 )
 from carecontracts.synthetic import sample_model_params
 
@@ -134,6 +135,16 @@ class TestNonNegative:
         assert solution.contract.as_array() == pytest.approx([0, 1, 0, 1], abs=1e-15)
         assert solution.slack_v2 == pytest.approx(0.0, abs=1e-15)
         assert solution.optimal_value == pytest.approx(0.44, abs=0)
+
+    def test_published_rounded_contract(self, icp_params):
+        """The paper's rounded contract (0, 0, 0, 1.18) meets both incentives
+        and costs 0.44132, within 0.0036 of the t = 0 member's p11 = 1/0.85."""
+        c0, c1, c2 = build_normalized_system(icp_params)
+        p = np.array([0.0, 0.0, 0.0, 1.18])
+        assert float(c1 @ p) >= 1.0
+        assert float(c2 @ p) >= -1.0
+        assert float(c0 @ p) == pytest.approx(0.44132, abs=1e-5)
+        assert abs(1.18 - solve_non_negative(icp_params).contract.p11) <= solvers.FAMILY_TOL
 
     def test_family_equivalence(self, rng):
         """Every member pays gamma in expectation and binds the first incentive."""
@@ -363,36 +374,6 @@ class TestRiskAverse:
             assert solution.kkt.max_residual <= 1e-8
 
 
-class TestVerifyContract:
-    def test_near_optimal_rounded_contract(self, icp_params):
-        certificate = verify_contract(icp_params, Contract(0, 0, 0, 1.18), "nonneg")
-        assert certificate.feasible
-        assert certificate.expected_payment == pytest.approx(0.44132, abs=1e-5)
-        assert certificate.near_optimal
-
-    def test_zero_contract_infeasible(self, icp_params):
-        certificate = verify_contract(icp_params, Contract(0, 0, 0, 0), "nonneg")
-        assert not certificate.feasible
-        broken = {c.name: c for c in certificate.constraints}["treat-good-responders"]
-        assert broken.value == 0.0 and broken.bound == 1.0 and not broken.satisfied
-
-    def test_free_optimum_binding(self, icp_params):
-        contract = solve_free_payment(icp_params, p11=1.0).contract
-        certificate = verify_contract(icp_params, contract, "free")
-        assert certificate.feasible
-        assert certificate.expected_payment == pytest.approx(0.0, abs=1e-9)
-        slacks = {c.name: c.slack for c in certificate.constraints}
-        assert slacks["treat-good-responders"] == pytest.approx(0.0, abs=1e-9)
-        assert slacks["spare-bad-responders"] == pytest.approx(0.0, abs=1e-9)
-        assert certificate.near_optimal
-
-    def test_risk_averse_certificate(self, icp_params):
-        g = UtilityTransform.log()
-        contract = solve_risk_averse(icp_params, g).contract
-        certificate = verify_contract(icp_params, contract, "risk-averse", g=g)
-        assert certificate.feasible and certificate.near_optimal
-
-
 class TestSolveReport:
     SHARED = {
         "model",
@@ -420,6 +401,68 @@ class TestSolveReport:
         assert set(report) == self.SHARED | self.OWN[model]
         assert report["model"] == report["certificate"]["model"] == model
         assert report["certificate"]["feasible"] and report["certificate"]["near_optimal"]
+
+    @pytest.mark.parametrize(
+        "model, solver",
+        [
+            ("free", "solve_free_payment"),
+            ("nonneg", "solve_non_negative"),
+            ("nonneg-w", "solve_non_negative_misclassified"),
+            ("risk-averse", "solve_risk_averse"),
+        ],
+        ids=MODELS,
+    )
+    def test_zero_contract_fails_the_audit(self, icp_params, monkeypatch, model, solver):
+        original = getattr(solvers, solver)
+
+        def zero(*args, **kwargs):
+            return dataclasses.replace(original(*args, **kwargs), contract=Contract(0, 0, 0, 0))
+
+        monkeypatch.setattr(solvers, solver, zero)
+        report = solve_report(
+            icp_params, model, t=0.0, p11=1.0, g=UtilityTransform.log(), f_dollars=1.0
+        )
+        certificate = report["certificate"]
+        assert not certificate["feasible"] and not certificate["near_optimal"]
+        broken = {c["name"]: c for c in certificate["constraints"]}["treat-good-responders"]
+        assert broken["value"] == 0.0 and broken["bound"] == 1.0 and not broken["satisfied"]
+
+    def test_free_optimum_binds_both_incentives(self, icp_params):
+        report = solve_report(
+            icp_params, "free", t=0.0, p11=1.0, g=UtilityTransform.log(), f_dollars=1.0
+        )
+        slacks = {c["name"]: c["slack"] for c in report["certificate"]["constraints"]}
+        assert slacks["treat-good-responders"] == pytest.approx(0.0, abs=1e-9)
+        assert slacks["spare-bad-responders"] == pytest.approx(0.0, abs=1e-9)
+        assert report["expected_payment"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_model_names_are_compared_only_in_solve_report(self):
+        """One home for model branches: every ==, != or in against a name in
+        MODELS, anywhere under src/, sits inside solve_report."""
+        outside, inside = [], 0
+        for path in sorted((Path(__file__).resolve().parent.parent / "src").rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            home = {
+                id(node)
+                for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef) and function.name == "solve_report"
+                for node in ast.walk(function)
+            }
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Compare) or not any(
+                    isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops
+                ):
+                    continue
+                operands = [node.left, *node.comparators]
+                for operand in list(operands):
+                    if isinstance(operand, (ast.Tuple, ast.List, ast.Set)):
+                        operands += operand.elts
+                if any(isinstance(o, ast.Constant) and o.value in MODELS for o in operands):
+                    if id(node) in home:
+                        inside += 1
+                    else:
+                        outside.append(f"{path.name}:{node.lineno}")
+        assert inside and not outside
 
     def test_unknown_model_rejected(self, icp_params):
         with pytest.raises(ValueError, match="^unknown model 'cubic', expected one of free, "):
