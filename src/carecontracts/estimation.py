@@ -33,8 +33,7 @@ from array import array
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice, repeat
-from operator import eq
+from itertools import repeat
 from pathlib import Path
 from typing import Callable
 
@@ -60,6 +59,8 @@ HISTOGRAM_BINS = 40
 
 # Cohort columns after ``id``, in CSV order, with their dtypes.
 _COLUMNS = {"e": int, "t": int, "los": float, "event": int, "z": float}
+# The ``id`` column: UTF-8 text, 16 bytes a row inline up to 15 bytes.
+_ID = np.dtypes.StringDType()
 # Rows formatted per write in ``save_cohort``; bounds the strings alive at
 # once. 65,536 rows raised the perfbench reproduce peak RSS by 8 %, at the
 # same speed. Also the fewest rows a forked part of cohort CSV I/O holds.
@@ -78,12 +79,13 @@ _PLAIN = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
 class Cohort:
     """ICU stays as columns of the CSV schema, one entry per patient.
 
+    ``ids`` the patient ids (a string column, from any sequence of str),
     ``e`` treatment, ``t`` death in days, ``event`` censoring indicator
     (integer columns), ``los`` length of stay, and ``z`` the n x p
     covariate matrix. Rows are validated on construction.
     """
 
-    ids: tuple[str, ...]
+    ids: np.ndarray
     e: np.ndarray
     t: np.ndarray
     los: np.ndarray
@@ -91,7 +93,12 @@ class Cohort:
     z: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ids", tuple(self.ids))
+        try:
+            ids = np.array(self.ids, dtype=_ID)
+        except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
+            raise EstimationError(f"ids must be UTF-8 text: {exc.reason}") from None
+        ids.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
         for name, dtype in _COLUMNS.items():
             arr = np.asarray(getattr(self, name)).astype(dtype, casting="same_kind")
             arr.flags.writeable = False
@@ -111,7 +118,7 @@ class Cohort:
         """
         rows = np.asarray(rows, dtype=int)
         part = object.__new__(Cohort)
-        for name in _COLUMNS:
+        for name in ("ids", *_COLUMNS):
             column = getattr(self, name)[rows]  # IndexError for a row out of range
             column.flags.writeable = False
             object.__setattr__(part, name, column)
@@ -119,7 +126,6 @@ class Cohort:
         counts = np.bincount(rows % max(len(self), 1), minlength=1)
         if counts.max() > 1:
             raise EstimationError(f"record {self.ids[int(counts.argmax())]}: duplicate id")
-        object.__setattr__(part, "ids", tuple(map(self.ids.__getitem__, rows.tolist())))
         return part
 
 
@@ -130,12 +136,11 @@ def _first_invalid_row(ids, e, t, los, event, z) -> tuple[int, str] | None:
     if z.ndim != 2 or any(len(column) != n for column in (e, t, los, event, z)):
         raise EstimationError(f"cohort columns must have one entry per id ({n}) and z must be 2-D")
     repeated = np.zeros(n, dtype=bool)
-    # Sorted neighbours, not a set: a set of 400k ids was the RSS peak of estimate.
-    ordered = sorted(ids)
-    if any(map(eq, ordered, islice(ordered, 1, None))):
-        first = dict(zip(reversed(ids), range(n - 1, -1, -1)))  # id -> its first row
-        repeated[:] = True
-        repeated[list(first.values())] = False
+    if not np.all(ids[1:] > ids[:-1]):  # ids that strictly increase are distinct
+        # A stable sort keeps equal ids in row order: each after the first is a copy.
+        order = np.argsort(ids, kind="stable")
+        ordered = ids[order]
+        repeated[order[1:][ordered[1:] == ordered[:-1]]] = True
     rules = (
         ((e < 0) | (e > 1) | (event < 0) | (event > 1), "e and event must be 0/1"),
         (t <= 0, "t must be a positive integer"),
@@ -238,7 +243,8 @@ def _load_bulk(path: str | Path) -> Cohort | None:
     2.4 can crash the process on an integer field that holds a code point
     above about U+40000, and it skips ``\\x1c`` to ``\\x1f`` as blanks where
     ``int`` and ``float`` refuse them. The parent parses the body's first
-    byte range, and a forked child each other one (see ``_sent_part``).
+    byte range, and a forked child each other one (see ``_sent_part``);
+    each child's rows are read straight into their slice of one table.
     """
     try:
         with warnings.catch_warnings():
@@ -246,13 +252,21 @@ def _load_bulk(path: str | Path) -> Cohort | None:
             p, ranges = _part_ranges(path)
             jobs = [partial(_sent_part, path, start, stop, p) for start, stop in ranges[1:]]
             with _forked(jobs) as streams:
-                ids, *tables = _plain_part(path, *ranges[0], p)
-                for stream in streams:
-                    size = int.from_bytes(stream.read(8), "little")
-                    ids += stream.read(size).decode("ascii").split("\n")
-                    tables.append(np.frombuffer(stream.read(), dtype=tables[0].dtype))
-            table = np.concatenate(tables)
-            del tables  # so that the part buffers are gone before the columns are copied
+                first_ids, first = _plain_part(path, *ranges[0], p)
+                ids = [np.array(first_ids, dtype=_ID)]
+                del first_ids
+                sizes = [np.frombuffer(stream.read(16), dtype="<i8").tolist() for stream in streams]
+                table = np.empty(len(first) + sum(rows for rows, _ in sizes), dtype=first.dtype)
+                table[: len(first)] = first
+                start = len(first)
+                del first
+                for stream, (rows, size) in zip(streams, sizes):
+                    ids.append(np.array(stream.read(size).decode("ascii").split("\n"), dtype=_ID))
+                    part = table[start : start + rows].view(np.uint8)
+                    if stream.readinto(part) != part.nbytes:
+                        raise ValueError("a cohort I/O worker sent a short table")
+                    start += rows
+            ids = np.concatenate(ids)
         return Cohort(ids=ids, **{name: table[name] for name in _COLUMNS})
     except Exception:  # every fault is the row reader's to name
         return None
@@ -313,11 +327,11 @@ def _plain_part(path: str | Path, start: int, stop: int, p: int) -> tuple[list[s
 
 
 def _sent_part(path: str | Path, start: int, stop: int, p: int) -> list:
-    """``_plain_part`` as the buffers a forked child sends: the byte size of
-    the ids, the ids, one to a line, and the table."""
+    """``_plain_part`` as the buffers a forked child sends: its row count and
+    the byte size of its ids, the ids, one to a line, and the table."""
     ids, table = _plain_part(path, start, stop, p)
     blob = "\n".join(ids).encode()
-    return [len(blob).to_bytes(8, "little"), blob, table.view(np.uint8)]
+    return [np.array([len(table), len(blob)], dtype="<i8"), blob, table.view(np.uint8)]
 
 
 class _Range(io.RawIOBase):
@@ -375,7 +389,7 @@ def _load_rows(path: str | Path) -> Cohort:
             # Decoding runs a block ahead of the reader, so no exact line is known.
             raise CohortFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     columns = dict(
-        ids=tuple(ids),
+        ids=np.array(ids, dtype=_ID),
         e=np.asarray(e),
         t=np.asarray(t),
         los=np.asarray(los),
@@ -444,7 +458,7 @@ def _row_blocks(cohort: Cohort, row: str, start: int, stop: int):
     ``_WRITE_CHUNK`` rows; ``row`` is the ``%`` template of one line."""
     for begin in range(start, stop, _WRITE_CHUNK):
         rows = slice(begin, min(begin + _WRITE_CHUNK, stop))
-        ids = cohort.ids[rows]
+        ids = cohort.ids[rows].tolist()
         if _NEEDS_QUOTES.search("".join(ids)):
             ids = map(_csv_field, ids)
         columns = zip(
@@ -486,22 +500,23 @@ def fit_propensity(cohort: Cohort) -> PropensityModel:
     """Maximum-likelihood logistic regression via iteratively reweighted
     least squares; converges when the score vector drops below 1e-8."""
     z = cohort.z
-    y = cohort.e.astype(float)
     n, p = z.shape
     for arm, label in ((1, "treated"), (0, "control")):
-        count = int(np.sum(y == arm))
+        count = int(np.sum(cohort.e == arm))
         if count < p + 1:
             raise EstimationError(
                 f"need at least {p + 1} {label} records for {p} covariates, got {count}"
             )
-    x = np.hstack([np.ones((n, 1)), z])
+    x = np.empty((n, p + 1))
+    x[:, 0] = 1.0
+    x[:, 1:] = z
 
     beta = np.zeros(p + 1)
     for iteration in range(1, MAX_ITER + 1):
         prob = _sigmoid(x @ beta)
         if np.any(prob <= SEPARATION_BAND) or np.any(prob >= 1.0 - SEPARATION_BAND):
             raise EstimationError("fitted propensity reached 0/1: data are (quasi-)separated")
-        score = x.T @ (y - prob)
+        score = x.T @ (cohort.e - prob)
         score_norm = float(np.max(np.abs(score)))
         weights = prob * (1.0 - prob)
         info = (x.T * weights) @ x / n
@@ -523,17 +538,23 @@ def fit_propensity(cohort: Cohort) -> PropensityModel:
 class MatchResult:
     """Treated/control pairing on propensity score.
 
-    ``treated`` and ``controls`` are cohort row indices in pair order.
+    ``treated`` and ``controls`` are cohort row indices in pair order, and
+    ``ids`` the cohort's id column.
     """
 
     treated: np.ndarray
     controls: np.ndarray
-    pairs: tuple[tuple[str, str], ...]
+    ids: np.ndarray = field(repr=False)
     dropped_treated: tuple[str, ...]
     mean_pair_distance: float
 
     def __post_init__(self) -> None:
         freeze(self, "treated", "controls", dtype=int)
+
+    @property
+    def pairs(self) -> tuple[tuple[str, str], ...]:
+        """The ``(treated id, control id)`` of each pair, in pair order."""
+        return tuple(zip(self.ids[self.treated].tolist(), self.ids[self.controls].tolist()))
 
 
 def match_one_to_one(
@@ -592,23 +613,22 @@ def match_one_to_one(
             links[i], i = root, links[i]
         return root
 
-    ids = cohort.ids
     kept_treated: list[int] = []
     kept_slots: list[int] = []
-    dropped: list[str] = []
+    dropped: list[int] = []
     for ti, target, start in zip(treated.tolist(), targets.tolist(), starts.tolist()):
         # The nearest live controls: lo below the target, hi at or above it.
         lo = (find(left, start) if start in left else start) - 1
         hi = find(right, start) if start in right else start
         if lo < 0 and hi == m:  # no live control, only with a caliper: see the check above
-            dropped.append(ids[ti])
+            dropped.append(ti)
             continue
         if hi == m or (lo >= 0 and target - slot_score[lo] <= slot_score[hi] - target):
             best, gap = lo, target - slot_score[lo]  # a tie goes to the lower score
         else:
             best, gap = hi, slot_score[hi] - target
         if caliper is not None and gap > caliper:
-            dropped.append(ids[ti])
+            dropped.append(ti)
             continue
         kept_treated.append(ti)
         kept_slots.append(best)
@@ -622,8 +642,8 @@ def match_one_to_one(
     return MatchResult(
         treated=kept_treated,
         controls=kept_controls,
-        pairs=tuple(zip(map(ids.__getitem__, kept_treated), map(ids.__getitem__, kept_controls))),
-        dropped_treated=tuple(dropped),
+        ids=cohort.ids,
+        dropped_treated=tuple(cohort.ids[dropped].tolist()),
         mean_pair_distance=float(np.mean(distances)) if distances.size else 0.0,
     )
 

@@ -118,9 +118,11 @@ def generate_cohort(spec: SyntheticCohortSpec, seed: int) -> tuple[Cohort, np.nd
         death_days * rng.uniform(0.3, 0.95, spec.n),
     )
 
-    width = len(str(spec.n))
+    from numpy import strings  # imported here, so that no other command pays for it
+
+    digits = np.arange(spec.n).astype(np.dtypes.StringDType())
     cohort = Cohort(
-        ids=tuple(map(f"p%0{width}d".__mod__, range(spec.n))),
+        ids=strings.add("p", strings.zfill(digits, len(str(spec.n)))),
         e=treated.astype(int),
         t=death_days,
         los=los,

@@ -93,6 +93,27 @@ class TestFitPropensity:
         for slope, se in zip(model.coefficients[1:], standard_errors[1:]):
             assert abs(slope) <= 3 * se
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n", [500, 20_000])
+    def test_fit_gives_the_bits_of_the_hstack_formulation(self, seed, n):
+        """The IRLS of an ``np.hstack`` design and a float copy of ``e``,
+        typed out, gives the fit's coefficients and scores byte for byte."""
+        cohort, _ = generate_cohort(SyntheticCohortSpec(n=n, treated_fraction=0.3), seed)
+        x = np.hstack([np.ones((n, 1)), cohort.z])
+        y = cohort.e.astype(float)
+        beta = np.zeros(x.shape[1])
+        for _ in range(estimation.MAX_ITER):
+            prob = estimation._sigmoid(x @ beta)
+            score = x.T @ (y - prob)
+            info = (x.T * (prob * (1.0 - prob))) @ x / n
+            step = estimation.solve_linear_system(info, score / n, pivot_tol=1e-10)
+            if float(np.max(np.abs(score))) <= estimation.SCORE_TOL:
+                break
+            beta = beta + step
+        model = fit_propensity(cohort)
+        assert model.coefficients.tobytes() == beta.tobytes()
+        assert model.scores.tobytes() == prob.tobytes()
+
     def test_all_treated_rejected(self, rng):
         cohort = make_cohort(rng.normal(size=(50, 2)), 1)
         with pytest.raises(EstimationError):
@@ -436,14 +457,28 @@ class TestOutcomeRates:
 class TestCohort:
     def test_columns_are_read_only(self):
         cohort = make_cohort([[1.0], [2.0]], [1, 0])
-        for column in ("e", "t", "los", "event", "z"):
+        for column in ("ids", "e", "t", "los", "event", "z"):
             assert not getattr(cohort, column).flags.writeable
         assert len(cohort) == 2
+
+    def test_ids_are_one_string_column(self):
+        """16 bytes a row for short ids, and no Python object per row."""
+        n = 1_000
+        cohort, _ = generate_cohort(SyntheticCohortSpec(n=n), 3)
+        assert isinstance(cohort.ids.dtype, np.dtypes.StringDType)
+        assert cohort.ids.nbytes == 16 * n
+        assert cohort.ids.tolist() == [f"p{i:04d}" for i in range(n)]
+        assert isinstance(cohort.take([1]).ids.dtype, np.dtypes.StringDType)
+
+    def test_lone_surrogate_id_is_an_estimation_error(self):
+        columns = dict(e=[1, 0], t=[1, 2], los=[1.0, 2.0], event=[1, 1], z=np.ones((2, 1)))
+        with pytest.raises(EstimationError, match="ids must be UTF-8 text"):
+            Cohort(ids=("a", "b\ud800"), **columns)
 
     def test_take_keeps_row_order(self):
         cohort = make_cohort([[1.0], [2.0], [3.0]], [1, 0, 1], t=[4, 5, 6])
         part = cohort.take([2, 0])
-        assert part.ids == ("r2", "r0")
+        assert part.ids.tolist() == ["r2", "r0"]
         assert part.t.tolist() == [6, 4]
         assert part.z.tolist() == [[3.0], [1.0]]
 
@@ -453,7 +488,7 @@ class TestCohort:
             cohort.take([0, 1, 2, 1])
         with pytest.raises(EstimationError, match="record r2: duplicate id"):
             cohort.take([2, -1])  # a negative row is its positive twin
-        assert cohort.take([]).ids == ()
+        assert cohort.take([]).ids.tolist() == []
 
     @pytest.mark.parametrize(
         "column, value, message",
@@ -483,6 +518,24 @@ class TestCohort:
         with pytest.raises(EstimationError, match="record a: duplicate id"):
             Cohort(ids=("a", "b", "a"), **columns)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ids=st.lists(
+            st.sampled_from(["a", "b", "c", "d", "é", "a" * 20, "\U0001f600"]), min_size=1, max_size=12
+        )
+    )
+    def test_duplicate_rule_names_the_first_later_copy(self, ids):
+        """The first row whose id an earlier row holds, as the rule read
+        before ids were a string column: every row but each id's first."""
+        n = len(ids)
+        first = dict(zip(reversed(ids), range(n - 1, -1, -1)))
+        repeated = sorted(set(range(n)) - set(first.values()))
+        ones = np.ones(n, dtype=int)
+        fault = estimation._first_invalid_row(
+            np.array(ids, dtype=estimation._ID), ones, ones, ones + 0.5, ones, np.ones((n, 1))
+        )
+        assert fault == ((repeated[0], "duplicate id") if repeated else None)
+
     def test_shape_and_dtype_rules(self):
         ok = dict(
             ids=("a", "b"), e=[1, 0], t=[1, 2], los=[1.0, 2.0], event=[1, 1], z=np.ones((2, 1))
@@ -508,7 +561,7 @@ class TestCohortCsv:
         save_cohort(cohort, path)
         assert estimation._load_bulk(path) is not None  # a saved file takes the bulk parse
         loaded = load_cohort(path)
-        assert loaded.ids == cohort.ids
+        assert loaded.ids.tolist() == cohort.ids.tolist()
         for column in ("e", "t", "los", "event", "z"):
             assert getattr(loaded, column).dtype == getattr(cohort, column).dtype
             assert np.array_equal(getattr(loaded, column), getattr(cohort, column))
@@ -574,7 +627,7 @@ class TestCohortCsv:
                 )
         assert path.read_bytes() == reference.read_bytes()
         loaded = load_cohort(path)
-        assert loaded.ids == cohort.ids
+        assert loaded.ids.tolist() == cohort.ids.tolist()
         for column in ("e", "t", "los", "event", "z"):
             assert np.array_equal(getattr(loaded, column), getattr(cohort, column))
 
@@ -601,7 +654,24 @@ class TestCohortCsv:
         save_cohort(cohort, forked)
         assert len(forks) == parts  # the parent formats no part
         assert forked.read_bytes() == serial.read_bytes()
-        assert load_cohort(forked).ids == cohort.ids
+        assert load_cohort(forked).ids.tolist() == cohort.ids.tolist()
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    def test_longest_id_round_trips(self, tmp_path, monkeypatch, force_parts, parts):
+        """Ids of the csv module's 131,072-character field limit, in the middle
+        and at the end, save and load back whole."""
+        longest = csv.field_size_limit()
+        cohort, _ = generate_cohort(SyntheticCohortSpec(n=12, treated_fraction=0.4), 5)
+        ids = cohort.ids.tolist()
+        ids[6], ids[-1] = "a" * longest, "\u00e9" * longest
+        cohort = Cohort(ids, cohort.e, cohort.t, cohort.los, cohort.event, cohort.z)
+        forks = force_parts(monkeypatch, parts)
+        path = tmp_path / "cohort.csv"
+        save_cohort(cohort, path)
+        loaded = load_cohort(path)
+        assert len(forks) > 3 if parts > 1 else forks == []  # the load forked as well
+        assert loaded.ids.tolist() == ids
+        assert np.array_equal(loaded.z, cohort.z)
 
     def test_forked_load_gives_the_serial_cohort(self, tmp_path, monkeypatch, force_parts):
         path = tmp_path / "cohort.csv"
@@ -632,7 +702,7 @@ class TestCohortCsv:
         without waiting for children that would parse for a minute, and
         leaves no child unreaped."""
         cohort = generate_cohort(SyntheticCohortSpec(n=50, treated_fraction=0.4), 5)[0]
-        ids = ("p,0", *cohort.ids[1:])
+        ids = ["p,0", *cohort.ids[1:].tolist()]
         path = tmp_path / "cohort.csv"
         save_cohort(Cohort(ids, cohort.e, cohort.t, cohort.los, cohort.event, cohort.z), path)
         expected = _outcome(estimation._load_rows, path)
@@ -773,7 +843,7 @@ def _outcome(load, path):
     except CohortFormatError as exc:
         return str(exc)
     columns = (cohort.e, cohort.t, cohort.los, cohort.event, cohort.z)
-    return cohort.ids, [(c.dtype, c.shape, c.tobytes()) for c in columns]
+    return cohort.ids.tolist(), [(c.dtype, c.shape, c.tobytes()) for c in columns]
 
 
 @settings(max_examples=200, deadline=None)

@@ -23,7 +23,7 @@ def test_make_fixture_writes_the_generated_cohort(tmp_path, monkeypatch, capsys)
 
     loaded = load_cohort(out)
     expected, _ = generate_cohort(SyntheticCohortSpec(n=2000), 13)
-    assert loaded.ids == expected.ids
+    assert loaded.ids.tolist() == expected.ids.tolist()
     for column in ("e", "t", "los", "event", "z"):
         assert np.array_equal(getattr(loaded, column), getattr(expected, column))
 
